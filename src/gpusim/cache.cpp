@@ -2,36 +2,112 @@
 
 namespace gt::gpusim {
 
-bool SmCache::access(const CacheKey& key, std::size_t bytes) {
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    // Hit: move to front.
-    lru_.splice(lru_.begin(), lru_, it->second);
-    hit_bytes_ += bytes;
-    return true;
-  }
-  // Miss: evict until the new line fits. A line larger than the whole cache
+namespace {
+
+/// Starting table size: room for one line per 128 bytes of capacity at the
+/// 1/2 load bound (1024 lines for a 128 KiB SM), so a fresh device reaches
+/// steady state with at most a doubling or two instead of one per power of
+/// two from a small table.
+std::size_t initial_slots(std::size_t capacity_bytes) {
+  std::size_t slots = 16;
+  while (slots < 4096 && slots * 64 < capacity_bytes) slots *= 2;
+  return slots;
+}
+
+}  // namespace
+
+SmCache::SmCache(std::size_t capacity_bytes)
+    : capacity_bytes_(capacity_bytes),
+      slots_(initial_slots(capacity_bytes)),
+      mask_(slots_.size() - 1) {}
+
+bool SmCache::miss(const CacheKey& key, std::uint32_t hash, std::size_t bytes,
+                   std::size_t slot) {
+  // Evict until the new line fits. A line larger than the whole cache
   // still loads (streamed) but is not retained.
   loaded_bytes_ += bytes;
   if (bytes > capacity_bytes_) return false;
-  while (resident_bytes_ + bytes > capacity_bytes_ && !lru_.empty()) {
-    const Line& victim = lru_.back();
-    resident_bytes_ -= victim.bytes;
-    map_.erase(victim.key);
-    lru_.pop_back();
+  bool reprobe = false;
+  while (resident_bytes_ + bytes > capacity_bytes_ && tail_ != kNil) {
+    evict_lru();
+    reprobe = true;  // backward shifts may have moved the insertion slot
   }
-  lru_.push_front(Line{key, bytes});
-  map_[key] = lru_.begin();
+  if ((lines_ + 1) * 2 > slots_.size()) {
+    grow();
+    reprobe = true;
+  }
+  if (reprobe) slot = probe(key, hash);
+
+  std::uint32_t n;
+  if (free_ != kNil) {
+    n = free_;
+    free_ = nodes_[n].next;
+  } else {
+    n = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  nodes_[n] = Node{key, hash, bytes, kNil, kNil};
+  push_front(n);
+  slots_[slot] = Slot{epoch_, n};
+  ++lines_;
   resident_bytes_ += bytes;
   return false;
 }
 
-void SmCache::clear() {
-  lru_.clear();
-  map_.clear();
+void SmCache::clear() noexcept {
+  nodes_.clear();  // trivially destructible: keeps capacity, frees nothing
+  free_ = head_ = tail_ = kNil;
+  lines_ = 0;
   resident_bytes_ = 0;
   loaded_bytes_ = 0;
   hit_bytes_ = 0;
+  if (++epoch_ == 0) {
+    // Epoch wrapped: stale stamps could collide with new ones, so empty
+    // the table explicitly once every 2^32 - 1 clears.
+    for (Slot& s : slots_) s.epoch = 0;
+    epoch_ = 1;
+  }
+}
+
+void SmCache::evict_lru() noexcept {
+  const std::uint32_t victim = tail_;
+  std::size_t i = nodes_[victim].hash & mask_;
+  while (slots_[i].epoch != epoch_ || slots_[i].node != victim)
+    i = (i + 1) & mask_;
+  erase_slot(i);
+  unlink(victim);
+  resident_bytes_ -= nodes_[victim].bytes;
+  --lines_;
+  nodes_[victim].next = free_;
+  free_ = victim;
+}
+
+void SmCache::erase_slot(std::size_t slot) noexcept {
+  // Backward-shift deletion: pull later members of the probe run into the
+  // hole whenever the hole lies between their home slot and where they sit,
+  // so every remaining key stays reachable without tombstones.
+  std::size_t hole = slot;
+  for (std::size_t j = (slot + 1) & mask_; slots_[j].epoch == epoch_;
+       j = (j + 1) & mask_) {
+    const std::size_t home = nodes_[slots_[j].node].hash & mask_;
+    if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole].epoch = 0;
+}
+
+void SmCache::grow() {
+  const std::size_t size = slots_.size() * 2;
+  slots_.assign(size, Slot{});
+  mask_ = size - 1;
+  epoch_ = 1;
+  for (std::uint32_t n = head_; n != kNil; n = nodes_[n].next) {
+    std::size_t i = nodes_[n].hash & mask_;
+    while (slots_[i].epoch == epoch_) i = (i + 1) & mask_;
+    slots_[i] = Slot{epoch_, n};
+  }
 }
 
 }  // namespace gt::gpusim

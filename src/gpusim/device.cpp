@@ -125,33 +125,6 @@ KernelStats accumulate(const std::vector<KernelStats>& profile,
 
 // ---- BlockCtx ---------------------------------------------------------------
 
-void BlockCtx::load(BufferId buf, std::uint32_t row, std::size_t bytes,
-                    std::uint32_t chunk) {
-  auto& sm = dev_.sms_[sm_];
-  sm.cache.access(CacheKey{buf, row, chunk}, bytes);
-}
-
-void BlockCtx::store(BufferId buf, std::uint32_t row, std::size_t bytes,
-                     std::uint32_t chunk) {
-  auto& sm = dev_.sms_[sm_];
-  // Write-through: the store always reaches DRAM; write-allocate keeps the
-  // line resident for subsequent reuse (NAPA accumulators rely on this).
-  sm.raw_global_bytes += bytes;
-  sm.cache.access(CacheKey{buf, row, chunk}, bytes);
-}
-
-void BlockCtx::global_read(std::size_t bytes) {
-  dev_.sms_[sm_].raw_global_bytes += bytes;
-}
-
-void BlockCtx::global_write(std::size_t bytes) {
-  dev_.sms_[sm_].raw_global_bytes += bytes;
-}
-
-void BlockCtx::flops(std::uint64_t n) { dev_.sms_[sm_].flops += n; }
-
-void BlockCtx::atomic(std::uint64_t n) { dev_.sms_[sm_].atomics += n; }
-
 void BlockCtx::atomic_add(float& slot, float v) {
   if (!dev_.atomic_exec_) {
     slot += v;
@@ -297,14 +270,15 @@ KernelStats Device::run_kernel(const std::string& name,
           detail::ComputeWorkerScope scope;
           for (std::size_t sm = lo; sm < hi; ++sm) {
             for (std::size_t b = sm; b < num_blocks; b += num_sms) {
-              BlockCtx ctx(*this, b, sm);
+              BlockCtx ctx(*this, sms_[sm], b, sm);
               body(ctx);
             }
           }
         });
   } else {
     for (std::size_t b = 0; b < num_blocks; ++b) {
-      BlockCtx ctx(*this, b, b % config_.num_sms);
+      const std::size_t sm = b % config_.num_sms;
+      BlockCtx ctx(*this, sms_[sm], b, sm);
       body(ctx);
     }
   }

@@ -67,8 +67,19 @@ class GpuOomError : public std::runtime_error {
   std::size_t available_bytes;
 };
 
+/// One SM's simulator state for the running kernel: its cache and its
+/// flop/byte/atomic tallies. Touched only by the host thread running that
+/// SM's blocks.
+struct SmState {
+  SmCache cache;
+  std::uint64_t flops = 0;
+  std::size_t raw_global_bytes = 0;
+  std::uint64_t atomics = 0;
+  explicit SmState(std::size_t cache_bytes) : cache(cache_bytes) {}
+};
+
 /// Handle passed to a kernel body once per thread block. All modelling
-/// calls are forwarded to the owning Device's per-SM state.
+/// calls are forwarded to the per-SM state of the block's SM.
 class BlockCtx {
  public:
   std::size_t block_id() const noexcept { return block_; }
@@ -77,22 +88,29 @@ class BlockCtx {
   /// Model a read of row `row` (feature-chunk `chunk`) of `buf`,
   /// `bytes` wide. Charged as a cache access on this block's SM.
   void load(BufferId buf, std::uint32_t row, std::size_t bytes,
-            std::uint32_t chunk = 0);
+            std::uint32_t chunk = 0) {
+    state_.cache.access(CacheKey{buf, row, chunk}, bytes);
+  }
 
   /// Model a write: write-through (global traffic) + write-allocate.
   void store(BufferId buf, std::uint32_t row, std::size_t bytes,
-             std::uint32_t chunk = 0);
+             std::uint32_t chunk = 0) {
+    // The store always reaches DRAM; write-allocate keeps the line
+    // resident for subsequent reuse (NAPA accumulators rely on this).
+    state_.raw_global_bytes += bytes;
+    state_.cache.access(CacheKey{buf, row, chunk}, bytes);
+  }
 
   /// Uncached global traffic (graph-structure index reads, etc.).
-  void global_read(std::size_t bytes);
-  void global_write(std::size_t bytes);
+  void global_read(std::size_t bytes) { state_.raw_global_bytes += bytes; }
+  void global_write(std::size_t bytes) { state_.raw_global_bytes += bytes; }
 
   /// Arithmetic work.
-  void flops(std::uint64_t n);
+  void flops(std::uint64_t n) { state_.flops += n; }
 
   /// Atomic read-modify-write on shared output (GNNAdvisor-style partial
   /// aggregation): charged a serialization penalty.
-  void atomic(std::uint64_t n = 1);
+  void atomic(std::uint64_t n = 1) { state_.atomics += n; }
 
   /// Host-side scatter-add on possibly-shared memory. Under serial
   /// execution this is a plain `slot += v`; when the kernel was declared
@@ -104,9 +122,11 @@ class BlockCtx {
 
  private:
   friend class Device;
-  BlockCtx(Device& dev, std::size_t block, std::size_t sm)
-      : dev_(dev), block_(block), sm_(sm) {}
+  BlockCtx(Device& dev, SmState& state, std::size_t block,
+           std::size_t sm)
+      : dev_(dev), state_(state), block_(block), sm_(sm) {}
   Device& dev_;
+  SmState& state_;
   std::size_t block_;
   std::size_t sm_;
 };
@@ -196,14 +216,6 @@ class Device {
     std::size_t bytes() const noexcept {
       return f32.size() * sizeof(float) + u32.size() * sizeof(std::uint32_t);
     }
-  };
-
-  struct SmState {
-    SmCache cache;
-    std::uint64_t flops = 0;
-    std::size_t raw_global_bytes = 0;
-    std::uint64_t atomics = 0;
-    explicit SmState(std::size_t cache_bytes) : cache(cache_bytes) {}
   };
 
   Buffer& live_buffer(BufferId id);

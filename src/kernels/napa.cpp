@@ -16,6 +16,91 @@ using gpusim::KernelCategory;
 // edge range of destination b), so writes are disjoint and the kernels are
 // declared BlockSafety::kParallel throughout.
 
+namespace {
+
+// Row-level dense math of the Apply kernels. Every output element sees
+// exactly the operations of the naive loop, in the same order (a multiply,
+// then an add, ascending over the reduced index), so results are
+// bit-identical to it. Only the *independent* elements are regrouped: N of
+// them at a time live in a local array, which keeps their dependency chains
+// in registers instead of a store-to-load chain through the output row.
+
+/// out[j] += sum over k ascending of x[k] * w[k * ld + j], for j < N.
+template <std::size_t N>
+void xw_lanes(const float* x, const float* w, std::size_t feat,
+              std::size_t ld, float* out) {
+  float acc[N];
+  for (std::size_t j = 0; j < N; ++j) acc[j] = out[j];
+  for (std::size_t k = 0; k < feat; ++k) {
+    const float xk = x[k];
+    const float* wrow = w + k * ld;
+    for (std::size_t j = 0; j < N; ++j) acc[j] += xk * wrow[j];
+  }
+  for (std::size_t j = 0; j < N; ++j) out[j] = acc[j];
+}
+
+/// dx[j] = sum over c ascending of dz[c] * w[j * ld + c], for j < N.
+template <std::size_t N>
+void wdz_lanes(const float* dz, const float* w, std::size_t hidden,
+               std::size_t ld, float* dx) {
+  float acc[N] = {};
+  for (std::size_t c = 0; c < hidden; ++c) {
+    const float d = dz[c];
+    for (std::size_t j = 0; j < N; ++j) acc[j] += d * w[j * ld + c];
+  }
+  for (std::size_t j = 0; j < N; ++j) dx[j] = acc[j];
+}
+
+/// dw[k * ld + j] += x[k] * dy[j], for every k < feat and j < N.
+template <std::size_t N>
+void outer_lanes(const float* x, const float* dy, std::size_t feat,
+                 std::size_t ld, float* dw) {
+  float d[N];
+  for (std::size_t j = 0; j < N; ++j) d[j] = dy[j];
+  for (std::size_t k = 0; k < feat; ++k) {
+    const float xk = x[k];
+    float* row = dw + k * ld;
+    for (std::size_t j = 0; j < N; ++j) row[j] += xk * d[j];
+  }
+}
+
+/// Run `lanes.template operator()<N>(offset)` over [0, n) in blocks of 8,
+/// then one block each of 4, 2 and 1 for the remainder.
+template <typename Lanes>
+void for_lane_blocks(std::size_t n, Lanes&& lanes) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) lanes.template operator()<8>(i);
+  if (i + 4 <= n) { lanes.template operator()<4>(i); i += 4; }
+  if (i + 2 <= n) { lanes.template operator()<2>(i); i += 2; }
+  if (i < n) lanes.template operator()<1>(i);
+}
+
+/// out[c] += x . W[:, c] for a [feat, hidden] row-major W.
+void accumulate_xw(const float* x, const float* w, std::size_t feat,
+                   std::size_t hidden, float* out) {
+  for_lane_blocks(hidden, [&]<std::size_t N>(std::size_t c) {
+    xw_lanes<N>(x, w + c, feat, hidden, out + c);
+  });
+}
+
+/// dx[k] = dz . W[k, :] for a [feat, hidden] row-major W.
+void dz_wt(const float* dz, const float* w, std::size_t feat,
+           std::size_t hidden, float* dx) {
+  for_lane_blocks(feat, [&]<std::size_t N>(std::size_t k) {
+    wdz_lanes<N>(dz, w + k * hidden, hidden, hidden, dx + k);
+  });
+}
+
+/// dW += x^T dy for one row: dw[k][c] += x[k] * dy[c].
+void accumulate_outer(const float* x, const float* dy, std::size_t feat,
+                      std::size_t hidden, float* dw) {
+  for_lane_blocks(hidden, [&]<std::size_t N>(std::size_t c) {
+    outer_lanes<N>(x, dy + c, feat, hidden, dw + c);
+  });
+}
+
+}  // namespace
+
 gpusim::BufferId neighbor_apply(Device& dev, const DeviceCsr& g, BufferId x,
                                 EdgeWeightMode gmode) {
   if (gmode == EdgeWeightMode::kNone)
@@ -153,12 +238,9 @@ gpusim::BufferId apply_dense(Device& dev, BufferId x, BufferId w, BufferId b,
     float* orow = &ov[static_cast<std::size_t>(r) * hidden];
     // Weight-matrix rows stream through the SM cache; blocks sharing an SM
     // reuse them.
-    for (std::size_t k = 0; k < feat; ++k) {
+    for (std::size_t k = 0; k < feat; ++k)
       ctx.load(w, static_cast<std::uint32_t>(k), hb);
-      const float xk = xr[k];
-      const float* wrow = &wv[k * hidden];
-      for (std::size_t c = 0; c < hidden; ++c) orow[c] += xk * wrow[c];
-    }
+    accumulate_xw(xr, wv.data(), feat, hidden, orow);
     ctx.load(b, 0, hb);
     for (std::size_t c = 0; c < hidden; ++c) {
       orow[c] += bv[c];
@@ -222,13 +304,9 @@ DenseGrads apply_dense_backward(Device& dev, BufferId x, BufferId w,
       ctx.load(dz, r, hb);
       const float* dzr = &dzv[static_cast<std::size_t>(r) * hidden];
       float* dxr = &dxv[static_cast<std::size_t>(r) * feat];
-      for (std::size_t k = 0; k < feat; ++k) {
+      for (std::size_t k = 0; k < feat; ++k)
         ctx.load(w, static_cast<std::uint32_t>(k), hb);
-        const float* wrow = &wv[k * hidden];
-        float acc = 0.0f;
-        for (std::size_t c = 0; c < hidden; ++c) acc += dzr[c] * wrow[c];
-        dxr[k] = acc;
-      }
+      dz_wt(dzr, wv.data(), feat, hidden, dxr);
       ctx.flops(2ull * feat * hidden);
       ctx.store(grads.dx, r, feat * sizeof(float));
     }, BlockSafety::kParallel);
@@ -239,13 +317,8 @@ DenseGrads apply_dense_backward(Device& dev, BufferId x, BufferId w,
   auto dwv = dev.f32(grads.dw);
   auto dbv = dev.f32(grads.db);
   for (std::size_t r = 0; r < rows; ++r) {
-    const float* xr = &xv[r * feat];
     const float* dzr = &dzv[r * hidden];
-    for (std::size_t k = 0; k < feat; ++k) {
-      const float xk = xr[k];
-      float* dwrow = &dwv[k * hidden];
-      for (std::size_t c = 0; c < hidden; ++c) dwrow[c] += xk * dzr[c];
-    }
+    accumulate_outer(&xv[r * feat], dzr, feat, hidden, dwv.data());
     for (std::size_t c = 0; c < hidden; ++c) dbv[c] += dzr[c];
   }
   dev.charge_kernel("Apply.MatMulGradW", KernelCategory::kCombination,
@@ -276,12 +349,9 @@ gpusim::BufferId apply_matmul(Device& dev, BufferId x, BufferId w) {
     ctx.load(x, r, feat * sizeof(float));
     const float* xr = &xv[static_cast<std::size_t>(r) * feat];
     float* orow = &ov[static_cast<std::size_t>(r) * hidden];
-    for (std::size_t k = 0; k < feat; ++k) {
+    for (std::size_t k = 0; k < feat; ++k)
       ctx.load(w, static_cast<std::uint32_t>(k), hb);
-      const float xk = xr[k];
-      const float* wrow = &wv[k * hidden];
-      for (std::size_t c = 0; c < hidden; ++c) orow[c] += xk * wrow[c];
-    }
+    accumulate_xw(xr, wv.data(), feat, hidden, orow);
     ctx.flops(2ull * feat * hidden);
     ctx.store(out, r, hb);
   }, BlockSafety::kParallel);
@@ -311,13 +381,9 @@ MatmulGrads apply_matmul_backward(Device& dev, BufferId x, BufferId w,
       ctx.load(dy, r, hb);
       const float* dyr = &dyv[static_cast<std::size_t>(r) * hidden];
       float* dxr = &dxv[static_cast<std::size_t>(r) * feat];
-      for (std::size_t k = 0; k < feat; ++k) {
+      for (std::size_t k = 0; k < feat; ++k)
         ctx.load(w, static_cast<std::uint32_t>(k), hb);
-        const float* wrow = &wv[k * hidden];
-        float acc = 0.0f;
-        for (std::size_t c = 0; c < hidden; ++c) acc += dyr[c] * wrow[c];
-        dxr[k] = acc;
-      }
+      dz_wt(dyr, wv.data(), feat, hidden, dxr);
       ctx.flops(2ull * feat * hidden);
       ctx.store(grads.dx, r, feat * sizeof(float));
     }, BlockSafety::kParallel);
@@ -325,15 +391,9 @@ MatmulGrads apply_matmul_backward(Device& dev, BufferId x, BufferId w,
 
   auto xv = dev.f32(x);
   auto dwv = dev.f32(grads.dw);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* xr = &xv[r * feat];
-    const float* dyr = &dyv[r * hidden];
-    for (std::size_t k = 0; k < feat; ++k) {
-      const float xk = xr[k];
-      float* dwrow = &dwv[k * hidden];
-      for (std::size_t c = 0; c < hidden; ++c) dwrow[c] += xk * dyr[c];
-    }
-  }
+  for (std::size_t r = 0; r < rows; ++r)
+    accumulate_outer(&xv[r * feat], &dyv[r * hidden], feat, hidden,
+                     dwv.data());
   dev.charge_kernel("Apply.MatMulGradW", KernelCategory::kCombination,
                     2ull * rows * feat * hidden,
                     rows * (feat + hidden) * sizeof(float) +

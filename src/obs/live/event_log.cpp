@@ -136,6 +136,9 @@ bool EventLog::open(const std::string& path) {
     std::fclose(file_);
     file_ = nullptr;
   }
+  // Unlink rather than truncate an old log: ext4 writes a file truncated to
+  // zero out to disk when it is closed, a disk write per service run.
+  std::remove(path.c_str());
   file_ = std::fopen(path.c_str(), "w");
   if (file_ == nullptr) {
     armed_.store(false, std::memory_order_release);

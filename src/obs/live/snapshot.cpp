@@ -1,9 +1,12 @@
 #include "obs/live/snapshot.hpp"
 
+#include <fcntl.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -38,6 +41,38 @@ const SnapshotSample& TimeSeriesRing::at(std::size_t i) const {
 }
 
 namespace {
+
+// Snapshot files are replaced every batch at interval 1, so they are never
+// truncated in place or renamed over an existing file: ext4 (auto_da_alloc)
+// starts a disk write of a file's data when it is truncated to zero and
+// closed, or when it replaces another file by rename. Unlinking first and
+// swapping names keeps the disk off the batch path.
+
+/// Write `text` to a new file at `path`, unlinking any old one first.
+bool write_new_file(const std::string& path, const std::string& text) {
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
+  std::ofstream f(path, std::ios::binary);
+  f.write(text.data(), static_cast<std::streamsize>(text.size()));
+  f.close();
+  return !f.fail();
+}
+
+/// Atomically make `from` the file at `to`: a reader of `to` sees the old
+/// file or the new one, never neither. Swaps the two names and unlinks the
+/// old file; falls back to rename where the swap is unavailable.
+bool replace_file(const std::string& from, const std::string& to) {
+  std::error_code ec;
+#ifdef RENAME_EXCHANGE
+  if (::renameat2(AT_FDCWD, from.c_str(), AT_FDCWD, to.c_str(),
+                  RENAME_EXCHANGE) == 0) {
+    std::filesystem::remove(from, ec);
+    return true;
+  }
+#endif
+  std::filesystem::rename(from, to, ec);
+  return !ec;
+}
 
 const std::uint64_t* find_counter(const SnapshotSample& s,
                                   std::string_view name) {
@@ -106,26 +141,19 @@ bool TelemetrySnapshotter::emit_now() { return emit(capture()); }
 
 bool TelemetrySnapshotter::emit(const SnapshotSample& cur) {
   ring_.push(cur);
-  const std::string slot_path =
-      opt_.dir + "/snapshot-" + std::to_string(seq_ % opt_.keep) + ".json";
-  {
-    std::ofstream f(slot_path, std::ios::trunc);
-    if (!f) return false;
-    write_snapshot(ring_.newest(), f);
-    if (!f) return false;
-  }
-  // latest.json is written whole then renamed so a concurrent reader
+  std::ostringstream os;
+  write_snapshot(ring_.newest(), os);
+  const std::string text = std::move(os).str();
+  if (!write_new_file(opt_.dir + "/snapshot-" +
+                          std::to_string(seq_ % opt_.keep) + ".json",
+                      text))
+    return false;
+  // latest.json is written whole then swapped in so a concurrent reader
   // (gt_top) never parses a torn file.
   const std::string tmp_path = opt_.dir + "/latest.json.tmp";
-  {
-    std::ofstream f(tmp_path, std::ios::trunc);
-    if (!f) return false;
-    write_snapshot(ring_.newest(), f);
-    if (!f) return false;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, opt_.dir + "/latest.json", ec);
-  if (ec) return false;
+  if (!write_new_file(tmp_path, text) ||
+      !replace_file(tmp_path, opt_.dir + "/latest.json"))
+    return false;
   ++seq_;
   ++emitted_;
   if (EventLog::global().armed()) {

@@ -13,8 +13,8 @@
 //
 // File layout under `dir`:
 //   snapshot-<seq % keep>.json   rotating set, bounded disk usage
-//   latest.json                  newest snapshot (tmp + rename, so a
-//                                reader never sees a torn file)
+//   latest.json                  newest snapshot (tmp + atomic name swap,
+//                                so a reader never sees a torn file)
 //
 // Snapshot schema (kSnapshotSchemaVersion = 1):
 //   { "schema_version":1, "seq":N, "ts_ms":T, "batches":B, "interval":I,

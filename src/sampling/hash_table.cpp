@@ -1,5 +1,6 @@
 #include "sampling/hash_table.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace gt::sampling {
@@ -21,16 +22,16 @@ Vid VidHashTable::insert_or_get(Vid orig, bool* is_new) {
     contended_.fetch_add(1, std::memory_order_relaxed);
     lock.lock();
   }
-  auto [it, inserted] = stripe.map.try_emplace(orig, 0);
+  bool inserted = false;
+  Vid& id = stripe.map.find_or_insert(orig, &inserted);
   if (inserted) {
-    const Vid id = next_id_.fetch_add(1, std::memory_order_acq_rel);
-    it->second = id;
+    id = next_id_.fetch_add(1, std::memory_order_acq_rel);
     std::lock_guard order_lock(order_mu_);
     if (id >= order_.size()) order_.resize(id + 1, kInvalidVid);
     order_[id] = orig;
   }
   if (is_new != nullptr) *is_new = inserted;
-  return it->second;
+  return id;
 }
 
 Vid VidHashTable::lookup(Vid orig) const {
@@ -41,8 +42,7 @@ Vid VidHashTable::lookup(Vid orig) const {
     contended_.fetch_add(1, std::memory_order_relaxed);
     lock.lock();
   }
-  auto it = stripe.map.find(orig);
-  return it == stripe.map.end() ? kInvalidVid : it->second;
+  return stripe.map.find(orig);
 }
 
 std::vector<Vid> VidHashTable::insertion_order() const {
@@ -63,6 +63,43 @@ void VidHashTable::clear() {
     order_.clear();
   }
   reset_contention_counters();
+}
+
+Vid& VidHashTable::FlatMap::find_or_insert(Vid key, bool* inserted) {
+  if ((size_ + 1) * 2 > entries_.size()) grow();
+  std::size_t i = home(key);
+  while (entries_[i].key != key && entries_[i].key != kInvalidVid)
+    i = (i + 1) & (entries_.size() - 1);
+  *inserted = entries_[i].key == kInvalidVid;
+  if (*inserted) {
+    entries_[i].key = key;
+    ++size_;
+  }
+  return entries_[i].value;
+}
+
+Vid VidHashTable::FlatMap::find(Vid key) const {
+  if (entries_.empty()) return kInvalidVid;
+  std::size_t i = home(key);
+  while (entries_[i].key != key && entries_[i].key != kInvalidVid)
+    i = (i + 1) & (entries_.size() - 1);
+  return entries_[i].value;  // kInvalidVid in an empty slot
+}
+
+void VidHashTable::FlatMap::clear() {
+  std::fill(entries_.begin(), entries_.end(), Entry{});
+  size_ = 0;
+}
+
+void VidHashTable::FlatMap::grow() {
+  std::vector<Entry> old(std::max<std::size_t>(16, entries_.size() * 2));
+  old.swap(entries_);
+  for (const Entry& e : old) {
+    if (e.key == kInvalidVid) continue;
+    std::size_t i = home(e.key);
+    while (entries_[i].key != kInvalidVid) i = (i + 1) & (entries_.size() - 1);
+    entries_[i] = e;
+  }
 }
 
 void VidHashTable::reset_contention_counters() noexcept {

@@ -6,13 +6,14 @@
 // contention the service-wide tensor scheduler relaxes (paper Fig 14).
 // The implementation uses striped locking and counts both acquisitions and
 // *contended* acquisitions (a failed try_lock before blocking), so the
-// contention experiments can report real measurements.
+// contention experiments can report real measurements. Each stripe's map is
+// a flat linear-probing table (no per-entry allocation; clear() keeps the
+// slots), since sampling and reindexing probe it for every sampled edge.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -61,9 +62,37 @@ class VidHashTable {
   void reset_contention_counters() noexcept;
 
  private:
+  /// Open-addressing Vid -> Vid map; kInvalidVid keys mark empty slots.
+  class FlatMap {
+   public:
+    /// The value slot for `key`, inserting it (value kInvalidVid) when
+    /// absent; `*inserted` reports which.
+    Vid& find_or_insert(Vid key, bool* inserted);
+    /// The value for `key`, or kInvalidVid.
+    Vid find(Vid key) const;
+    /// Empty the map, keeping its slots.
+    void clear();
+
+   private:
+    struct Entry {
+      Vid key = kInvalidVid;
+      Vid value = kInvalidVid;
+    };
+    std::size_t home(Vid key) const noexcept {
+      return static_cast<std::size_t>(
+                 (static_cast<std::uint64_t>(key) * 0x9e3779b97f4a7c15ull) >>
+                 32) &
+             (entries_.size() - 1);
+    }
+    void grow();
+
+    std::vector<Entry> entries_;  // power-of-two size, or empty
+    std::size_t size_ = 0;
+  };
+
   struct Stripe {
     mutable std::mutex mu;
-    std::unordered_map<Vid, Vid> map;
+    FlatMap map;
   };
 
   std::size_t stripe_of(Vid orig) const noexcept {

@@ -53,6 +53,7 @@ void NeighborSampler::choose_neighbors_into(std::span<const Vid> frontier,
   edges.dst.clear();
   edges.src.reserve(frontier.size() * fanout_);
   edges.dst.reserve(frontier.size() * fanout_);
+  std::vector<std::uint64_t> picks;  // reused across the frontier
   for (Vid v : frontier) {
     const auto neighbors = graph_.neighbors(v);
     if (neighbors.empty()) continue;
@@ -66,8 +67,8 @@ void NeighborSampler::choose_neighbors_into(std::span<const Vid> frontier,
         edges.dst.push_back(v);
       }
     } else if (priority_ == SamplingPriority::kUniformRandom) {
-      for (std::uint64_t idx :
-           sample_without_replacement(rng, neighbors.size(), fanout_)) {
+      sample_without_replacement_into(rng, neighbors.size(), fanout_, picks);
+      for (std::uint64_t idx : picks) {
         edges.src.push_back(neighbors[idx]);
         edges.dst.push_back(v);
       }

@@ -1,5 +1,6 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <unordered_set>
@@ -88,25 +89,32 @@ void Xoshiro256::jump() noexcept {
 std::vector<std::uint64_t> sample_without_replacement(Xoshiro256& rng,
                                                       std::uint64_t n,
                                                       std::uint64_t k) {
-  if (k >= n) {
-    std::vector<std::uint64_t> all(n);
-    for (std::uint64_t i = 0; i < n; ++i) all[i] = i;
-    return all;
-  }
-  // Floyd's algorithm.
-  std::unordered_set<std::uint64_t> chosen;
   std::vector<std::uint64_t> out;
+  sample_without_replacement_into(rng, n, k, out);
+  return out;
+}
+
+void sample_without_replacement_into(Xoshiro256& rng, std::uint64_t n,
+                                     std::uint64_t k,
+                                     std::vector<std::uint64_t>& out) {
+  out.clear();
+  if (k >= n) {
+    for (std::uint64_t i = 0; i < n; ++i) out.push_back(i);
+    return;
+  }
+  // Floyd's algorithm. The chosen set is exactly the values emitted so
+  // far, so small samples test membership by scanning `out`; large ones
+  // (whole-batch picks) keep a hash set.
+  const bool scan = k <= 64;
+  std::unordered_set<std::uint64_t> chosen;  // used only when !scan
   out.reserve(k);
   for (std::uint64_t j = n - k; j < n; ++j) {
-    std::uint64_t t = rng.uniform(j + 1);
-    if (chosen.insert(t).second) {
-      out.push_back(t);
-    } else {
-      chosen.insert(j);
-      out.push_back(j);
-    }
+    const std::uint64_t t = rng.uniform(j + 1);
+    const bool taken = scan ? std::find(out.begin(), out.end(), t) != out.end()
+                            : !chosen.insert(t).second;
+    if (taken && !scan) chosen.insert(j);
+    out.push_back(taken ? j : t);
   }
-  return out;
 }
 
 }  // namespace gt

@@ -69,6 +69,13 @@ std::vector<std::uint64_t> sample_without_replacement(Xoshiro256& rng,
                                                       std::uint64_t n,
                                                       std::uint64_t k);
 
+/// sample_without_replacement into `out`, reusing its capacity. For small
+/// k (a sampling fanout) the membership test is a scan of `out` itself, so
+/// nothing is allocated once `out` has grown; the output is identical.
+void sample_without_replacement_into(Xoshiro256& rng, std::uint64_t n,
+                                     std::uint64_t k,
+                                     std::vector<std::uint64_t>& out);
+
 /// Derive the i-th independent stream seed from a root seed.
 inline std::uint64_t derive_seed(std::uint64_t root, std::uint64_t stream) {
   SplitMix64 sm(root ^ (0xa0761d6478bd642full * (stream + 1)));

@@ -2,8 +2,91 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <unordered_map>
+
+#include "util/rng.hpp"
+
 namespace gt::gpusim {
 namespace {
+
+/// The original node-based model (std::list LRU + std::unordered_map),
+/// kept here as the oracle the flat SmCache must match access for access.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(std::size_t capacity) : capacity_(capacity) {}
+
+  bool access(const CacheKey& key, std::size_t bytes) {
+    auto it = map_.find(key);
+    if (it != map_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      hit_bytes += bytes;
+      return true;
+    }
+    loaded_bytes += bytes;
+    if (bytes > capacity_) return false;
+    while (resident_bytes + bytes > capacity_ && !lru_.empty()) {
+      resident_bytes -= lru_.back().second;
+      map_.erase(lru_.back().first);
+      lru_.pop_back();
+    }
+    lru_.emplace_front(key, bytes);
+    map_[key] = lru_.begin();
+    resident_bytes += bytes;
+    return false;
+  }
+
+  void clear() {
+    lru_.clear();
+    map_.clear();
+    resident_bytes = loaded_bytes = hit_bytes = 0;
+  }
+
+  std::size_t lines() const { return lru_.size(); }
+
+  std::size_t resident_bytes = 0;
+  std::size_t loaded_bytes = 0;
+  std::size_t hit_bytes = 0;
+
+ private:
+  using Line = std::pair<CacheKey, std::size_t>;
+  std::size_t capacity_;
+  std::list<Line> lru_;
+  std::unordered_map<CacheKey, std::list<Line>::iterator, CacheKeyHash> map_;
+};
+
+/// Drive both models with one seeded stream: a skewed key space (hot rows
+/// recur, so hits, promotions and evictions all happen), line widths from
+/// one float to oversized, and periodic clears like kernel boundaries.
+void expect_matches_reference(std::uint64_t seed, std::size_t capacity,
+                              std::uint32_t key_space, std::size_t accesses) {
+  Xoshiro256 rng(seed);
+  SmCache flat(capacity);
+  ReferenceLru ref(capacity);
+  const std::size_t widths[] = {4, 48, 64, 256, 2176, capacity + 1};
+  for (std::size_t a = 0; a < accesses; ++a) {
+    if (rng.uniform(4000) == 0) {
+      flat.clear();
+      ref.clear();
+    }
+    // Squaring a uniform draw skews toward low rows (the hot set).
+    const std::uint64_t u = rng.uniform(key_space);
+    const CacheKey key{static_cast<std::uint32_t>(rng.uniform(3)),
+                       static_cast<std::uint32_t>(u * u / key_space),
+                       static_cast<std::uint32_t>(rng.uniform(2))};
+    // A line's width follows from its buffer and chunk, as in real kernels,
+    // except for a rare oversized streaming access.
+    const std::size_t bytes = rng.uniform(500) == 0
+                                  ? widths[5]
+                                  : widths[(key.buffer * 2 + key.chunk) % 5];
+    ASSERT_EQ(flat.access(key, bytes), ref.access(key, bytes))
+        << "access " << a << " seed " << seed;
+    ASSERT_EQ(flat.loaded_bytes(), ref.loaded_bytes);
+    ASSERT_EQ(flat.hit_bytes(), ref.hit_bytes);
+    ASSERT_EQ(flat.resident_bytes(), ref.resident_bytes);
+    ASSERT_EQ(flat.resident_lines(), ref.lines());
+  }
+}
 
 TEST(SmCache, MissThenHit) {
   SmCache cache(1024);
@@ -60,6 +143,50 @@ TEST(SmCache, ResidentNeverExceedsCapacity) {
   for (std::uint32_t r = 0; r < 100; ++r) {
     cache.access({0, r, 0}, 48);
     EXPECT_LE(cache.resident_bytes(), 256u);
+  }
+}
+
+TEST(SmCache, HitDoesNotResizeTheResidentLine) {
+  // A hit is charged the bytes the caller asks for but keeps the width the
+  // line was loaded with, so eviction accounting is unaffected.
+  SmCache cache(100);
+  cache.access({0, 0, 0}, 40);
+  EXPECT_TRUE(cache.access({0, 0, 0}, 90));
+  EXPECT_EQ(cache.hit_bytes(), 90u);
+  EXPECT_EQ(cache.resident_bytes(), 40u);
+}
+
+TEST(SmCache, MatchesReferenceLruOnRandomStreams) {
+  // Small caches (heavy eviction) through caches holding thousands of
+  // lines (table growth and long probe runs).
+  expect_matches_reference(1, 512, 64, 60000);
+  expect_matches_reference(2, 4096, 1024, 60000);
+  expect_matches_reference(3, 128 * 1024, 8192, 60000);
+  expect_matches_reference(4, 128 * 1024, 200000, 60000);
+}
+
+TEST(SmCache, ClearKeepsTheTableAndForgetsEveryLine) {
+  SmCache cache(64 * 1024);
+  for (std::uint32_t r = 0; r < 1000; ++r) cache.access({0, r, 0}, 4);
+  const std::size_t slots = cache.table_slots();
+  EXPECT_EQ(cache.resident_lines(), 1000u);
+  EXPECT_GE(slots, 2000u);  // load factor <= 1/2
+  cache.clear();
+  EXPECT_EQ(cache.table_slots(), slots);
+  EXPECT_EQ(cache.resident_lines(), 0u);
+  for (std::uint32_t r = 0; r < 1000; ++r)
+    EXPECT_FALSE(cache.access({0, r, 0}, 4)) << r;
+  EXPECT_EQ(cache.table_slots(), slots);
+}
+
+TEST(SmCache, ManyClearsStayConsistent) {
+  // Per-kernel clears are epoch bumps; lines from one epoch must never be
+  // visible in the next.
+  SmCache cache(1024);
+  for (std::uint32_t k = 0; k < 5000; ++k) {
+    EXPECT_FALSE(cache.access({k % 7, k % 3, 0}, 64));
+    EXPECT_TRUE(cache.access({k % 7, k % 3, 0}, 64));
+    cache.clear();
   }
 }
 

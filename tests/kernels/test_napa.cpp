@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "kernel_test_util.hpp"
 #include "tensor/ops.hpp"
 
@@ -106,6 +108,73 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(EdgeWeightMode::kNone,
                                          EdgeWeightMode::kDot,
                                          EdgeWeightMode::kElemProduct)));
+
+/// Bitwise equality of two matrices (allclose would hide a reordering).
+bool bit_equal(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(), a.bytes()) == 0;
+}
+
+TEST(Napa, ApplyKernelsMatchNaiveLoopsBitwise) {
+  // The Apply kernels regroup independent output elements into register
+  // lanes; each element must still see the naive loop's exact operation
+  // sequence. Widths 1..19 cover every lane-block remainder (8/4/2/1).
+  for (std::size_t hidden = 1; hidden <= 19; ++hidden) {
+    const std::size_t feat = 23 + hidden, rows = 13;
+    LayerProblem p = make_problem(40 + hidden, rows, rows, 30, feat, hidden);
+    Xoshiro256 rng(hidden);
+    const Matrix dy = Matrix::uniform(rows, hidden, rng, -1.0f, 1.0f);
+    const float* x = p.x.data().data();
+    const float* w = p.w.data().data();
+
+    Matrix xw(rows, hidden), dx(rows, feat), dw(feat, hidden);
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t k = 0; k < feat; ++k)
+        for (std::size_t c = 0; c < hidden; ++c)
+          xw.data()[r * hidden + c] += x[r * feat + k] * w[k * hidden + c];
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t k = 0; k < feat; ++k) {
+        float acc = 0.0f;
+        for (std::size_t c = 0; c < hidden; ++c)
+          acc += dy.data()[r * hidden + c] * w[k * hidden + c];
+        dx.data()[r * feat + k] = acc;
+      }
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t k = 0; k < feat; ++k)
+        for (std::size_t c = 0; c < hidden; ++c)
+          dw.data()[k * hidden + c] +=
+              x[r * feat + k] * dy.data()[r * hidden + c];
+
+    gpusim::Device dev;
+    auto xb = upload_matrix(dev, p.x, "x");
+    auto wb = upload_matrix(dev, p.w, "w");
+    auto dyb = upload_matrix(dev, dy, "dy");
+    EXPECT_TRUE(bit_equal(download_matrix(dev, napa::apply_matmul(dev, xb, wb)),
+                          xw))
+        << "hidden " << hidden;
+    auto grads = napa::apply_matmul_backward(dev, xb, wb, dyb, true);
+    EXPECT_TRUE(bit_equal(download_matrix(dev, grads.dx), dx))
+        << "hidden " << hidden;
+    EXPECT_TRUE(bit_equal(download_matrix(dev, grads.dw), dw))
+        << "hidden " << hidden;
+
+    // apply_dense adds the bias after the same accumulation; its backward
+    // without ReLU passes dy straight through to the same two products.
+    Matrix pre = xw;
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t c = 0; c < hidden; ++c)
+        pre.data()[r * hidden + c] += p.b.data()[c];
+    auto bb = upload_matrix(dev, p.b, "b");
+    gpusim::BufferId preb = gpusim::kInvalidBuffer;
+    auto y = napa::apply_dense(dev, xb, wb, bb, /*relu=*/false, &preb);
+    EXPECT_TRUE(bit_equal(download_matrix(dev, y), pre)) << "hidden " << hidden;
+    auto dense = napa::apply_dense_backward(dev, xb, wb, preb, dyb, false);
+    EXPECT_TRUE(bit_equal(download_matrix(dev, dense.dx), dx))
+        << "hidden " << hidden;
+    EXPECT_TRUE(bit_equal(download_matrix(dev, dense.dw), dw))
+        << "hidden " << hidden;
+  }
+}
 
 TEST(Napa, NeighborApplyRejectsNone) {
   LayerProblem p = make_problem(14);

@@ -360,6 +360,34 @@ TEST(TelemetrySnapshotter, TicksEmitOnIntervalAndRotateFiles) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(TelemetrySnapshotter, ReplacesFilesWholeAndLeavesNoTemporary) {
+  // Every emit writes fresh files and swaps latest.json in. Across several
+  // rotations the newest slot must equal latest.json byte for byte, each
+  // slot must stay valid JSON, and no temporary file may be left behind.
+  const std::string dir = unique_dir("snapswap");
+  MetricsRegistry reg;
+  SnapshotterOptions opt;
+  opt.dir = dir;
+  opt.keep = 3;
+  TelemetrySnapshotter snap(reg, opt);
+  for (int i = 0; i < 7; ++i) {
+    reg.counter("work.items").add(1);
+    ASSERT_TRUE(snap.emit_now());
+    const std::string latest = read_file(dir + "/latest.json");
+    EXPECT_EQ(read_file(dir + "/snapshot-" + std::to_string(i % 3) + ".json"),
+              latest);
+    EXPECT_NE(latest.find("\"work.items\":" + std::to_string(i + 1)),
+              std::string::npos);
+    EXPECT_FALSE(std::filesystem::exists(dir + "/latest.json.tmp"));
+  }
+  for (int s = 0; s < 3; ++s) {
+    const std::string slot =
+        read_file(dir + "/snapshot-" + std::to_string(s) + ".json");
+    EXPECT_TRUE(testing::JsonChecker(slot).valid()) << slot;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(TelemetrySnapshotter, WriteSnapshotIsValidJsonWithRates) {
   const std::string dir = unique_dir("snapjson");
   MetricsRegistry reg;

@@ -38,6 +38,27 @@ TEST(VidHashTable, LookupMissingReturnsInvalid) {
   EXPECT_EQ(t.lookup(2), kInvalidVid);
 }
 
+TEST(VidHashTable, GrowthAndClearKeepEveryMapping) {
+  // Enough keys to grow every stripe's table several times, including
+  // keys that share a stripe and collide within it; then a clear and a
+  // reinsert in another order must forget the old ids entirely.
+  for (std::size_t stripes : {std::size_t{1}, std::size_t{64}}) {
+    VidHashTable t(stripes);
+    const Vid n = 5000;
+    for (Vid i = 0; i < n; ++i) EXPECT_EQ(t.insert_or_get(i * 64 + 7), i);
+    for (Vid i = 0; i < n; ++i) EXPECT_EQ(t.lookup(i * 64 + 7), i);
+    EXPECT_EQ(t.lookup(8), kInvalidVid);
+    t.clear();
+    EXPECT_EQ(t.size(), 0u);
+    for (Vid i = 0; i < n; i += 2) EXPECT_EQ(t.lookup(i * 64 + 7), kInvalidVid);
+    for (Vid i = n; i-- > n / 2;)
+      EXPECT_EQ(t.insert_or_get(i * 64 + 7), n - 1 - i);
+    EXPECT_EQ(t.lookup(7), kInvalidVid);
+    EXPECT_EQ(t.lookup((n - 1) * 64 + 7), 0u);
+    EXPECT_EQ(t.size(), n / 2);
+  }
+}
+
 TEST(VidHashTable, RejectsNonPowerOfTwoStripes) {
   EXPECT_THROW(VidHashTable(3), std::invalid_argument);
 }

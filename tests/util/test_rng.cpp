@@ -86,6 +86,31 @@ TEST(Rng, SampleWithoutReplacementReturnsAllWhenKGeqN) {
   EXPECT_EQ(set.size(), 5u);
 }
 
+TEST(Rng, SampleIntoMatchesHashSetFloydExactly) {
+  // Reference: Floyd's algorithm with an explicit hash set. The reusing
+  // variant must emit the same values in the same order, and consume the
+  // same draws, for fanout-sized and batch-sized k alike.
+  auto floyd = [](Xoshiro256& rng, std::uint64_t n, std::uint64_t k) {
+    std::vector<std::uint64_t> out;
+    std::unordered_set<std::uint64_t> chosen;
+    for (std::uint64_t j = n - k; j < n; ++j) {
+      const std::uint64_t t = rng.uniform(j + 1);
+      out.push_back(chosen.insert(t).second ? t : j);
+      chosen.insert(out.back());
+    }
+    return out;
+  };
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t k : {1ull, 2ull, 10ull, 25ull, 64ull, 65ull, 300ull}) {
+    for (std::uint64_t n : {k + 1, 2 * k, 3 * k + 7, 50 * k}) {
+      Xoshiro256 a(k * 1000 + n), b(k * 1000 + n);
+      sample_without_replacement_into(a, n, k, out);
+      EXPECT_EQ(out, floyd(b, n, k)) << "n " << n << " k " << k;
+      EXPECT_EQ(a.next(), b.next()) << "n " << n << " k " << k;
+    }
+  }
+}
+
 TEST(Rng, DeriveSeedDistinctStreams) {
   std::unordered_set<std::uint64_t> seeds;
   for (std::uint64_t i = 0; i < 100; ++i) seeds.insert(derive_seed(42, i));
