@@ -16,7 +16,6 @@
 #include "kernels/graph_approach.hpp"
 #include "kernels/napa.hpp"
 #include "pipeline/executor.hpp"
-#include "sampling/embedding_cache.hpp"
 
 using namespace gt;
 

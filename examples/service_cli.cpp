@@ -72,8 +72,8 @@
 //                batch past the retry budget shows as "degraded" in the
 //                table and the epoch keeps going.
 //   --max-retries=N retry budget per batch (default 3).
-//   Chaos example:
-//     ./examples/service_cli products GCN Prepro-GT 8 --workers=4 \
+//   Chaos example (one command line):
+//     ./examples/service_cli products GCN Prepro-GT 8 --workers=4
 //         --fault-spec="preproc.sample@batch=2;gpusim.kernel@batch=5:always"
 //
 // Observability flags (anywhere on the command line); each flag also
@@ -471,7 +471,16 @@ int main(int argc, char** argv) {
   if (!trace_out.empty() || !bench_out.empty())
     gt::obs::Tracer::global().enable(true);
 
-  gt::Dataset data = gt::generate(dataset_name, 42);
+  // An unknown dataset or framework name makes the catalog or the
+  // framework factory throw std::out_of_range: report it like a bad flag.
+  const gt::DatasetSpec* spec = nullptr;
+  try {
+    spec = &gt::find_spec(dataset_name);
+  } catch (const std::out_of_range& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+  gt::Dataset data = gt::generate(*spec, 42);
   gt::models::GnnModelConfig model = model_by_name(model_name, data.spec);
 
   gt::ServiceOptions options;
@@ -505,7 +514,7 @@ int main(int argc, char** argv) {
   try {
     service_ptr = std::make_unique<gt::GnnService>(std::move(data), model,
                                                    options);
-  } catch (const std::invalid_argument& e) {
+  } catch (const std::logic_error& e) {  // invalid_argument or out_of_range
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }

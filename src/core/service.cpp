@@ -146,20 +146,16 @@ GnnService::~GnnService() {
 #endif
 }
 
-frameworks::BatchSpec GnnService::next_spec(bool inference) {
+frameworks::BatchSpec GnnService::next_spec(bool inference,
+                                            std::size_t batch_size) {
   frameworks::BatchSpec spec;
-  spec.batch_size = options_.batch_size;
+  spec.batch_size = batch_size;
   spec.batch_index = next_batch_++;
   spec.seed = options_.seed;
   spec.order = options_.order;
   spec.learning_rate = options_.learning_rate;
   spec.inference = inference;
   return spec;
-}
-
-void GnnService::ensure_contexts(std::size_t n) {
-  while (contexts_.size() < n)
-    contexts_.push_back(std::make_unique<pipeline::BatchContext>());
 }
 
 std::uint64_t GnnService::backoff_for(std::uint32_t attempt) const noexcept {
@@ -285,84 +281,56 @@ frameworks::RunReport GnnService::run_with_recovery(
 }
 
 frameworks::RunReport GnnService::train_batch() {
-  ensure_contexts(1);
-  const frameworks::BatchSpec spec = next_spec(false);
-  frameworks::RunReport r = run_with_recovery(spec, *contexts_[0], 0, {});
-  after_batch(spec, r, 0);
-  return r;
+  return run_batches(1, /*inference=*/false, options_.batch_size).front();
 }
 
 frameworks::RunReport GnnService::infer_batch() {
-  ensure_contexts(1);
-  const frameworks::BatchSpec spec = next_spec(true);
-  frameworks::RunReport r = run_with_recovery(spec, *contexts_[0], 0, {});
-  after_batch(spec, r, 0);
-  return r;
+  return run_batches(1, /*inference=*/true, options_.batch_size).front();
 }
 
-std::vector<frameworks::RunReport> GnnService::run_batches(
-    std::size_t batches, bool inference) {
-  std::vector<frameworks::RunReport> reports;
-  reports.reserve(batches);
-  if (batches == 0) return reports;
-
-  std::vector<frameworks::BatchSpec> specs;
-  specs.reserve(batches);
-  for (std::size_t i = 0; i < batches; ++i)
-    specs.push_back(next_spec(inference));
-
-  const std::size_t workers = std::min(options_.workers, batches);
-  ensure_contexts(std::max<std::size_t>(workers, 1));
-
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < batches; ++i) {
-      GT_OBS_SCOPE("service.train_batch", "service");
-      reports.push_back(run_with_recovery(specs[i], *contexts_[0], 0, {}));
-      after_batch(specs[i], reports.back(), 0);
-    }
-    return reports;
-  }
-
+void GnnService::run_ring(
+    std::size_t workers,
+    const std::function<std::optional<frameworks::BatchSpec>()>& source,
+    const std::function<void(const frameworks::BatchSpec&,
+                             frameworks::RunReport, std::size_t)>& sink,
+    const std::function<void()>& on_unwind) {
   // Bounded in-flight ring, capacity = workers: batch i preprocesses in
-  // context (i % workers) on the pool while earlier batches execute on
-  // this thread, strictly in batch order. prepare_batch never touches
-  // model parameters, so concurrency cannot change any report.
-  if (!pool_ || pool_->size() < workers) pool_ = nullptr;
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(workers);
+  // context (i % workers) while earlier batches execute on this thread,
+  // strictly in batch order. With workers > 1 the preparations run on the
+  // pool; with one worker each runs inline on this thread, through the same
+  // future. prepare_batch never touches model parameters, so neither
+  // placement can change any report.
+  while (contexts_.size() < workers)
+    contexts_.push_back(std::make_unique<pipeline::BatchContext>());
+  if (workers > 1 && (!pool_ || pool_->size() < workers)) {
+    pool_ = nullptr;  // join the smaller pool before spawning its successor
+    pool_ = std::make_unique<ThreadPool>(workers);
+  }
   obs::metrics().gauge("service.workers").set(static_cast<double>(workers));
 
-  std::vector<std::future<void>> inflight(workers);
-  std::vector<double> prepare_us(workers, 0.0);
+  struct Slot {
+    frameworks::BatchSpec spec;
+    std::future<void> prepared;
+    double prepare_us = 0.0;
+  };
+  std::vector<Slot> ring(workers);
 
-  // Exception safety: the pool tasks write through captured pointers into
-  // `prepare_us` and the worker contexts. Before ANY unwind of this frame
-  // every launched task must have finished — wait() (unlike get()) does
-  // not rethrow, so the drain itself cannot throw; a stored exception is
-  // discarded with its future.
-  auto drain_inflight = [&]() noexcept {
-    for (std::future<void>& f : inflight)
-      if (f.valid()) f.wait();
-  };
-  // A throwing attempt leaves its context mid-batch; reset all of them so
-  // a caller that catches the propagated exception can keep serving.
-  auto quarantine_contexts = [&]() noexcept {
-    for (std::size_t w = 0; w < workers; ++w) contexts_[w]->begin_batch();
-  };
-  // Every unwind of this frame must run the drain first — not just the
-  // exceptions the catch handlers below see directly. A retry issued from
-  // inside a catch handler can itself throw (e.g. a kind=abort entry armed
-  // for a later attempt of the same batch), and that path would otherwise
-  // leave pool tasks writing through pointers into the destroyed stack
-  // vectors. Declared after the vectors and lambdas so it is destroyed
-  // before them on unwind.
+  // Exception safety (DESIGN.md §11): prepare tasks write through captured
+  // pointers into `ring` and the worker contexts, so every launched task
+  // must finish before ANY unwind of this frame — an abort the handler
+  // below rethrows, one thrown by a retry inside that handler, or a
+  // throwing source or sink. wait() (unlike get()) does not rethrow, so the
+  // drain cannot throw. A throwing attempt leaves its context mid-batch, so
+  // all of them reset and a caller that catches can keep serving. After
+  // the caller's hook, telemetry flushes the post-mortem before the stack
+  // above decides whether the process survives. Declared after `ring`, so
+  // it runs before `ring` dies.
   auto unwind_cleanup = [&]() noexcept {
-    drain_inflight();
-    quarantine_contexts();
-    // The run is unwinding past the serving loop (kind=abort fault or a
-    // non-injected failure). Flush what telemetry has before the stack
-    // above decides whether the process survives — if it does, the next
-    // run keeps appending; if not, the post-mortem files are on disk.
-    if (telemetry_) telemetry_->crash_flush("service.run_batches unwind");
+    for (Slot& slot : ring)
+      if (slot.prepared.valid()) slot.prepared.wait();
+    for (std::size_t w = 0; w < workers; ++w) contexts_[w]->begin_batch();
+    if (on_unwind) on_unwind();
+    if (telemetry_) telemetry_->crash_flush("service batch ring unwind");
   };
   struct UnwindGuard {
     decltype(unwind_cleanup)& cleanup;
@@ -372,72 +340,105 @@ std::vector<frameworks::RunReport> GnnService::run_batches(
     }
   } guard{unwind_cleanup};
 
-  auto launch_prepare = [&](std::size_t i) {
-    pipeline::BatchContext* ctx = contexts_[i % workers].get();
-    double* slot_us = &prepare_us[i % workers];
-    const frameworks::BatchSpec spec = specs[i];
-    fault::FaultPlan* plan = fault_plan_.get();
-    inflight[i % workers] = pool_->submit([this, ctx, spec, slot_us, plan] {
-      GT_OBS_SCOPE_N(span, "service.prepare_batch", "service");
+  std::size_t launched = 0;
+  auto launch_next = [&] {
+    std::optional<frameworks::BatchSpec> next = source();
+    if (!next) return false;
+    Slot& slot = ring[launched % workers];
+    pipeline::BatchContext* ctx = contexts_[launched % workers].get();
+    ++launched;
+    slot.spec = *next;
+    std::packaged_task<void()> prepare(
+        [this, ctx, spec = *next, slot_us = &slot.prepare_us,
+         plan = fault_plan_.get()] {
+          GT_OBS_SCOPE_N(span, "service.prepare_batch", "service");
+          span.arg("batch", static_cast<std::int64_t>(spec.batch_index));
+          obs::live::CorrelationScope cscope(batch_cid(spec));
+          GT_LIVE_STAGE(kPrepare);
+          const auto t0 = std::chrono::steady_clock::now();
+          fault::PlanScope scope(plan, spec.batch_index);
+          ctx->begin_batch();
+          backend_->prepare_batch(dataset_, model_, spec, *ctx);
+          *slot_us = elapsed_us(t0);
+        });
+    slot.prepared = prepare.get_future();
+    if (workers > 1)
+      pool_->submit([task = std::move(prepare)]() mutable { task(); });
+    else
+      prepare();  // a throw lands in the future, exactly as on the pool
+    return true;
+  };
+  while (launched < workers && launch_next()) {
+  }
+  for (std::size_t i = 0; i < launched; ++i) {
+    Slot& slot = ring[i % workers];
+    const frameworks::BatchSpec spec = slot.spec;  // launch_next reuses slot
+    pipeline::BatchContext& ctx = *contexts_[i % workers];
+    frameworks::RunReport report;
+    try {
+      slot.prepared.get();  // rethrows preprocessing failures
+      GT_OBS_SCOPE_N(span, "service.execute_batch", "service");
       span.arg("batch", static_cast<std::int64_t>(spec.batch_index));
       obs::live::CorrelationScope cscope(batch_cid(spec));
-      GT_LIVE_STAGE(kPrepare);
+      GT_LIVE_STAGE(kExecute);
       const auto t0 = std::chrono::steady_clock::now();
-      fault::PlanScope scope(plan, spec.batch_index);
-      ctx->begin_batch();
-      backend_->prepare_batch(dataset_, model_, spec, *ctx);
-      *slot_us = elapsed_us(t0);
-    });
-  };
-  for (std::size_t i = 0; i < workers; ++i) launch_prepare(i);
-  for (std::size_t i = 0; i < batches; ++i) {
-    pipeline::BatchContext& ctx = *contexts_[i % workers];
-    bool prepared = true;
-    try {
-      inflight[i % workers].get();  // rethrows preprocessing failures
+      fault::PlanScope scope(fault_plan_.get(), spec.batch_index);
+      report = backend_->execute_prepared(dataset_, model_, params_, spec, ctx);
+      report.host_execute_us = elapsed_us(t0);
+      report.host_prepare_us = slot.prepare_us;
     } catch (const fault::InjectedFault& f) {
       if (f.kind() == fault::Kind::kAbort) throw;  // guard drains behind us
-      // Transient: re-run the whole batch serially (prepare burned
-      // attempt #0); the ring stays intact for the batches behind it. If
-      // the re-run itself throws, the guard drains behind that unwind too.
-      prepared = false;
-      reports.push_back(run_with_recovery(specs[i], ctx, 1, f.what()));
+      // Transient: re-run the whole batch serially (the failed prepare or
+      // execute burned attempt #0); the ring stays intact for the batches
+      // behind it. If the re-run itself throws, the guard drains behind
+      // that unwind too.
+      report = run_with_recovery(spec, ctx, 1, f.what());
     }
-    if (prepared) {
-      GT_OBS_SCOPE_N(span, "service.train_batch", "service");
-      span.arg("batch", static_cast<std::int64_t>(specs[i].batch_index));
-      obs::live::CorrelationScope cscope(batch_cid(specs[i]));
-      const double batch_prepare_us = prepare_us[i % workers];
-      const auto t0 = std::chrono::steady_clock::now();
-      try {
-        GT_LIVE_STAGE(kExecute);
-        fault::PlanScope scope(fault_plan_.get(), specs[i].batch_index);
-        reports.push_back(backend_->execute_prepared(dataset_, model_,
-                                                     params_, specs[i], ctx));
-        reports.back().host_execute_us = elapsed_us(t0);
-        reports.back().host_prepare_us = batch_prepare_us;
-      } catch (const fault::InjectedFault& f) {
-        if (f.kind() == fault::Kind::kAbort) throw;  // guard drains behind us
-        reports.push_back(run_with_recovery(specs[i], ctx, 1, f.what()));
-      }
-    }
-    if (i + workers < batches) launch_prepare(i + workers);
-    // In-flight preparations still queued behind this batch = the live
-    // queue depth the paper's scheduling section cares about.
-    after_batch(specs[i], reports.back(),
-                std::min(workers, batches - i - 1));
+    // Preparations still in flight behind this batch = the live queue
+    // depth the paper's scheduling section cares about. The sink runs
+    // before the next launch, so one worker keeps the serial order of work:
+    // prepare, execute, sink.
+    sink(spec, std::move(report), launched - i - 1);
+    launch_next();
   }
+}
+
+std::vector<frameworks::RunReport> GnnService::run_batches(
+    std::size_t batches, bool inference, std::size_t batch_size) {
+  std::vector<frameworks::RunReport> reports;
+  if (batches == 0) return reports;
+  reports.reserve(batches);
+  // Every index is reserved up front, so a call that aborts consumes the
+  // same indices at every worker count and the call after it starts where
+  // it would have without the abort.
+  std::vector<frameworks::BatchSpec> specs;
+  specs.reserve(batches);
+  for (std::size_t i = 0; i < batches; ++i)
+    specs.push_back(next_spec(inference, batch_size));
+  std::size_t next = 0;
+  run_ring(
+      std::min(options_.workers, batches),
+      [&]() -> std::optional<frameworks::BatchSpec> {
+        if (next == specs.size()) return std::nullopt;
+        return specs[next++];
+      },
+      [&](const frameworks::BatchSpec& spec, frameworks::RunReport report,
+          std::size_t inflight) {
+        reports.push_back(std::move(report));
+        after_batch(spec, reports.back(), inflight);
+      },
+      {});
   return reports;
 }
 
 std::vector<frameworks::RunReport> GnnService::train_batches(
     std::size_t batches) {
-  return run_batches(batches, /*inference=*/false);
+  return run_batches(batches, /*inference=*/false, options_.batch_size);
 }
 
 std::vector<frameworks::RunReport> GnnService::infer_batches(
     std::size_t batches) {
-  return run_batches(batches, /*inference=*/true);
+  return run_batches(batches, /*inference=*/true, options_.batch_size);
 }
 
 EpochStats GnnService::train_epoch(std::size_t batches) {
@@ -510,19 +511,13 @@ serving::ServeReport GnnService::serve(const serving::ServeConfig& config) {
   // model / device config (DESIGN.md §16). The estimate is frozen for the
   // whole run — that freeze is what lets the planner run ahead of
   // execution and keeps the admit/shed stream worker-invariant.
-  const std::size_t warmup = std::max<std::size_t>(config.warmup_batches, 1);
-  const std::size_t full_batch_vertices =
-      config.batch.max_batch_requests *
-      static_cast<std::size_t>(config.vertices_per_request);
-  ensure_contexts(1);
   double warm_us_sum = 0.0;
   std::size_t warm_ok = 0;
-  for (std::size_t w = 0; w < warmup; ++w) {
-    frameworks::BatchSpec spec = next_spec(/*inference=*/true);
-    spec.batch_size = full_batch_vertices;
-    const frameworks::RunReport r =
-        run_with_recovery(spec, *contexts_[0], 0, {});
-    after_batch(spec, r, 0);
+  for (const frameworks::RunReport& r :
+       run_batches(std::max<std::size_t>(config.warmup_batches, 1),
+                   /*inference=*/true,
+                   config.batch.max_batch_requests *
+                       static_cast<std::size_t>(config.vertices_per_request))) {
     if (r.ok()) {
       warm_us_sum += r.end_to_end_us;
       ++warm_ok;
@@ -544,24 +539,6 @@ serving::ServeReport GnnService::serve(const serving::ServeConfig& config) {
            config.arrival.rate_rps, " rps, slo ", config.slo_ticks,
            " ticks, queue ", config.queue_depth, ", est ", est,
            " ticks/batch)");
-
-  const std::size_t workers = std::max<std::size_t>(options_.workers, 1);
-  ensure_contexts(workers);
-
-  // The plan grows lazily: planned[i] / specs[i] exist before batch i is
-  // prepared, and the planner keeps at most `workers` batches of lookahead
-  // beyond the one executing — the same bounded ring as run_batches.
-  std::vector<serving::PlannedBatch> planned;
-  std::vector<frameworks::BatchSpec> specs;
-  auto pull_plan = [&]() -> bool {
-    std::optional<serving::PlannedBatch> b = planner.next();
-    if (!b) return false;
-    frameworks::BatchSpec spec = next_spec(/*inference=*/true);
-    spec.batch_size = b->total_vertices;
-    planned.push_back(std::move(*b));
-    specs.push_back(spec);
-    return true;
-  };
 
   // Incremental counter publication: snapshots taken mid-serve see live
   // serving.* tallies that always satisfy the gt_top --check invariants.
@@ -600,12 +577,18 @@ serving::ServeReport GnnService::serve(const serving::ServeConfig& config) {
   // e2e: finish = max(lane_free, form_tick) + e2e. A degraded batch
   // (retry budget exhausted / OOM) still occupies the lane for one
   // estimate so the requests behind it feel the outage.
+  //
+  // The plan grows lazily: the ring pulls each batch from the planner just
+  // before preparing it, so at most `workers` planned batches await
+  // pricing at any time. planned[0, priced) have executed.
+  std::vector<serving::PlannedBatch> planned;
+  std::size_t priced = 0;
   serving::Tick lane_free = 0;
   std::vector<serving::Tick> latencies;
   std::uint64_t completed = 0, degraded_requests = 0, goodput_requests = 0;
-  std::uint64_t batches_executed = 0, boarded = 0;
-  auto price_batch = [&](std::size_t i, const frameworks::RunReport& r) {
-    const serving::PlannedBatch& b = planned[i];
+  std::uint64_t boarded = 0;
+  auto price_batch = [&](const frameworks::RunReport& r) {
+    const serving::PlannedBatch& b = planned[priced];
     const serving::Tick start = std::max(lane_free, b.form_tick);
     const bool ok = r.ok();
     const serving::Tick dur =
@@ -613,7 +596,6 @@ serving::ServeReport GnnService::serve(const serving::ServeConfig& config) {
                  1, static_cast<serving::Tick>(std::llround(r.end_to_end_us)))
            : est;
     lane_free = start + dur;
-    ++batches_executed;
     boarded += b.request_ids.size();
     std::vector<serving::RequestRecord>& recs = planner.records();
     obs::Histogram& lat_hist = m.histogram("serving.request_latency_us");
@@ -636,106 +618,31 @@ serving::ServeReport GnnService::serve(const serving::ServeConfig& config) {
     m.counter(ok ? "serving.requests.completed" : "serving.requests.degraded")
         .add(b.request_ids.size());
     m.counter("serving.batches").add(1);
+    ++priced;
   };
 
-  std::vector<std::future<void>> inflight(workers > 1 ? workers : 0);
-  std::vector<double> prepare_us(workers > 1 ? workers : 0, 0.0);
-  auto drain_inflight = [&]() noexcept {
-    for (std::future<void>& f : inflight)
-      if (f.valid()) f.wait();
-  };
-  auto quarantine_contexts = [&]() noexcept {
-    for (std::size_t w = 0; w < workers; ++w) contexts_[w]->begin_batch();
-  };
-  // Drain-on-unwind (same contract as run_batches, plus the serving queue):
-  // every pool task finishes before this frame's vectors die, the worker
-  // contexts reset, queued requests drain to kShedShutdown through the
-  // lifecycle's stopping state, and telemetry flushes the post-mortem.
-  auto unwind_cleanup = [&]() noexcept {
-    drain_inflight();
-    quarantine_contexts();
-    planner.shutdown();
-    publish_planner_counters();
-    if (telemetry_) telemetry_->crash_flush("service.serve unwind");
-  };
-  struct UnwindGuard {
-    decltype(unwind_cleanup)& cleanup;
-    int base = std::uncaught_exceptions();
-    ~UnwindGuard() {
-      if (std::uncaught_exceptions() > base) cleanup();
-    }
-  } guard{unwind_cleanup};
-
-  auto launch_prepare = [&](std::size_t i) {
-    pipeline::BatchContext* ctx = contexts_[i % workers].get();
-    double* slot_us = &prepare_us[i % workers];
-    const frameworks::BatchSpec spec = specs[i];
-    fault::FaultPlan* plan = fault_plan_.get();
-    inflight[i % workers] = pool_->submit([this, ctx, spec, slot_us, plan] {
-      GT_OBS_SCOPE_N(span, "service.prepare_batch", "service");
-      span.arg("batch", static_cast<std::int64_t>(spec.batch_index));
-      obs::live::CorrelationScope cscope(batch_cid(spec));
-      GT_LIVE_STAGE(kPrepare);
-      const auto t0 = std::chrono::steady_clock::now();
-      fault::PlanScope scope(plan, spec.batch_index);
-      ctx->begin_batch();
-      backend_->prepare_batch(dataset_, model_, spec, *ctx);
-      *slot_us = elapsed_us(t0);
-    });
-  };
-
-  if (workers <= 1) {
-    while (pull_plan()) {
-      const std::size_t i = planned.size() - 1;
-      GT_OBS_SCOPE_N(span, "service.serve_batch", "service");
-      span.arg("batch", static_cast<std::int64_t>(specs[i].batch_index));
-      const frameworks::RunReport r =
-          run_with_recovery(specs[i], *contexts_[0], 0, {});
-      price_batch(i, r);
-      publish_planner_counters();
-      after_batch(specs[i], r, planner.queue_size());
-    }
-  } else {
-    if (!pool_ || pool_->size() < workers) pool_ = nullptr;
-    if (!pool_) pool_ = std::make_unique<ThreadPool>(workers);
-    m.gauge("service.workers").set(static_cast<double>(workers));
-    std::size_t launched = 0;
-    while (launched < workers && pull_plan()) launch_prepare(launched++);
-    for (std::size_t i = 0; i < planned.size(); ++i) {
-      pipeline::BatchContext& ctx = *contexts_[i % workers];
-      frameworks::RunReport report;
-      bool prepared = true;
-      try {
-        inflight[i % workers].get();  // rethrows preprocessing failures
-      } catch (const fault::InjectedFault& f) {
-        if (f.kind() == fault::Kind::kAbort) throw;  // guard drains behind us
-        prepared = false;
-        report = run_with_recovery(specs[i], ctx, 1, f.what());
-      }
-      if (prepared) {
-        GT_OBS_SCOPE_N(span, "service.serve_batch", "service");
-        span.arg("batch", static_cast<std::int64_t>(specs[i].batch_index));
-        obs::live::CorrelationScope cscope(batch_cid(specs[i]));
-        const double batch_prepare_us = prepare_us[i % workers];
-        const auto t0 = std::chrono::steady_clock::now();
-        try {
-          GT_LIVE_STAGE(kExecute);
-          fault::PlanScope scope(fault_plan_.get(), specs[i].batch_index);
-          report = backend_->execute_prepared(dataset_, model_, params_,
-                                              specs[i], ctx);
-          report.host_execute_us = elapsed_us(t0);
-          report.host_prepare_us = batch_prepare_us;
-        } catch (const fault::InjectedFault& f) {
-          if (f.kind() == fault::Kind::kAbort) throw;
-          report = run_with_recovery(specs[i], ctx, 1, f.what());
-        }
-      }
-      if (pull_plan()) launch_prepare(launched++);
-      price_batch(i, report);
-      publish_planner_counters();
-      after_batch(specs[i], report, planner.queue_size());
-    }
-  }
+  run_ring(
+      options_.workers,
+      [&]() -> std::optional<frameworks::BatchSpec> {
+        std::optional<serving::PlannedBatch> b = planner.next();
+        if (!b) return std::nullopt;
+        planned.push_back(std::move(*b));
+        return next_spec(/*inference=*/true, planned.back().total_vertices);
+      },
+      [&](const frameworks::BatchSpec& spec, frameworks::RunReport r,
+          std::size_t) {
+        price_batch(r);
+        publish_planner_counters();
+        after_batch(spec, r, planner.queue_size());
+      },
+      // Unwind, after the ring's drain and quarantine: queued requests and
+      // the riders of every unpriced planned batch (the one that threw
+      // included) drain to kShedShutdown, so the counters account for every
+      // admitted request before telemetry flushes the post-mortem.
+      [&]() noexcept {
+        planner.shutdown(std::span(planned).subspan(priced));
+        publish_planner_counters();
+      });
 
   planner.finish();
   publish_planner_counters();
@@ -747,13 +654,12 @@ serving::ServeReport GnnService::serve(const serving::ServeConfig& config) {
   rep.shed_queue_full = planner.shed_queue_full();
   rep.completed = completed;
   rep.degraded = degraded_requests;
-  rep.batches = batches_executed;
+  rep.batches = priced;
   rep.mean_batch_fill =
-      batches_executed > 0
-          ? static_cast<double>(boarded) /
-                static_cast<double>(batches_executed *
-                                    config.batch.max_batch_requests)
-          : 0.0;
+      priced > 0 ? static_cast<double>(boarded) /
+                       static_cast<double>(priced *
+                                           config.batch.max_batch_requests)
+                 : 0.0;
   rep.records = std::move(planner.records());
   const serving::Tick first_arrival =
       rep.records.empty() ? 0 : rep.records.front().arrival_tick;

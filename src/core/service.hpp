@@ -2,25 +2,27 @@
 // parameters, and a framework backend; trains batch by batch and evaluates
 // classification accuracy against the synthetic labels.
 //
-// Steady-state loop: the service keeps `workers` BatchContexts alive.
-// With workers == 1 every batch runs serially in context 0. With
-// workers > 1, a bounded in-flight ring (capacity = workers) prepares
-// upcoming batches concurrently on the thread pool — batch i preprocesses
-// in context (i % workers) — while execute_prepared (device compute +
-// SGD) always runs on the caller thread, in batch order. Preprocessing is
-// parameter-independent, so the reports are bit-identical to a serial run.
+// Steady-state loop: every batch, from train_batch() to serve(), runs
+// through one bounded in-flight ring (capacity = workers) over `workers`
+// BatchContexts: batch i preprocesses in context (i % workers) — on the
+// thread pool when workers > 1, inline at one worker — while
+// execute_prepared (device compute + SGD) runs on the caller thread, in
+// batch order. Preprocessing is parameter-independent, so the reports are
+// bit-identical at every worker count.
 //
 // Fault tolerance (DESIGN.md §11): with a fault plan armed
 // (ServiceOptions::fault_spec / GT_FAULT_SPEC), instrumented sites throw
-// typed InjectedFaults. The loop is exception-safe — before any unwind it
-// drains every in-flight preparation and quarantines (resets) the worker
-// contexts, so no pool task outlives the loop's stack frames. Transient
-// faults are retried with bounded virtual exponential backoff; a batch
-// that exhausts its retry budget degrades to a RunReport::failed entry
-// instead of aborting the epoch.
+// typed InjectedFaults. The ring is exception-safe — before any unwind it
+// drains every in-flight preparation, quarantines (resets) the worker
+// contexts, runs its caller's unwind hook (serve() sheds its queue), and
+// crash-flushes telemetry. Transient faults are retried with bounded
+// virtual exponential backoff; a batch that exhausts its retry budget
+// degrades to a RunReport::failed entry instead of aborting the epoch.
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -226,9 +228,22 @@ class GnnService {
   double evaluate(std::size_t batches = 4);
 
  private:
-  frameworks::BatchSpec next_spec(bool inference);
+  frameworks::BatchSpec next_spec(bool inference, std::size_t batch_size);
+  /// The one batch loop (DESIGN.md §9, §11): pulls specs from `source`
+  /// until it yields nullopt and hands each report to `sink` in batch
+  /// order, with the count of preparations still in flight behind it.
+  /// `on_unwind` (may be empty) runs on unwind, after the drain.
+  void run_ring(
+      std::size_t workers,
+      const std::function<std::optional<frameworks::BatchSpec>()>& source,
+      const std::function<void(const frameworks::BatchSpec&,
+                               frameworks::RunReport, std::size_t)>& sink,
+      const std::function<void()>& on_unwind);
+  /// `batches` consecutive batches of `batch_size` through the ring at
+  /// min(workers, batches) workers; reports in batch order.
   std::vector<frameworks::RunReport> run_batches(std::size_t batches,
-                                                 bool inference);
+                                                 bool inference,
+                                                 std::size_t batch_size);
   /// Run one batch attempt-by-attempt: retry transient InjectedFaults
   /// with virtual backoff (`failed_attempts` counts attempts already
   /// burned by the caller, e.g. a ring preparation that threw), degrade
@@ -247,7 +262,6 @@ class GnnService {
                    const frameworks::RunReport& report,
                    std::size_t queue_depth);
   std::uint64_t backoff_for(std::uint32_t attempt) const noexcept;
-  void ensure_contexts(std::size_t n);
 
   Dataset dataset_;
   models::GnnModelConfig model_;
@@ -261,7 +275,7 @@ class GnnService {
   std::uint64_t backoff_ticks_total_ = 0;
   std::vector<std::unique_ptr<pipeline::BatchContext>> contexts_;
   std::unique_ptr<pipeline::BatchContext> eval_context_;
-  std::unique_ptr<ThreadPool> pool_;  // lazy; only when workers > 1
+  std::unique_ptr<ThreadPool> pool_;  // lazy; only for rings of > 1 worker
 };
 
 }  // namespace gt

@@ -17,13 +17,6 @@ std::vector<std::size_t> range_boundaries(std::size_t n,
   return b;
 }
 
-std::size_t owner_of(const std::vector<std::size_t>& boundaries,
-                     std::size_t v) {
-  const auto it = std::upper_bound(boundaries.begin(), boundaries.end(), v);
-  const std::size_t d = static_cast<std::size_t>(it - boundaries.begin());
-  return d > 0 ? d - 1 : 0;
-}
-
 }  // namespace
 
 std::vector<std::uint64_t> split_proportional(

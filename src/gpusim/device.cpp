@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cassert>
 #include <string>
 
@@ -121,19 +120,6 @@ KernelStats accumulate(const std::vector<KernelStats>& profile,
   total.name = to_string(category);
   total.category = category;
   return total;
-}
-
-// ---- BlockCtx ---------------------------------------------------------------
-
-void BlockCtx::atomic_add(float& slot, float v) {
-  if (!dev_.atomic_exec_) {
-    slot += v;
-    return;
-  }
-  std::atomic_ref<float> ref(slot);
-  float cur = ref.load(std::memory_order_relaxed);
-  while (!ref.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
 }
 
 // ---- Device -----------------------------------------------------------------
@@ -260,7 +246,6 @@ KernelStats Device::run_kernel(const std::string& name,
   const bool parallel = pool != nullptr && !on_compute_worker() &&
                         num_blocks > 1 && config_.num_sms > 1;
   in_kernel_ = true;
-  atomic_exec_ = parallel && safety == BlockSafety::kAtomicAdd;
   if (parallel) {
     const std::size_t num_sms = config_.num_sms;
     pool->parallel_for(
@@ -270,7 +255,7 @@ KernelStats Device::run_kernel(const std::string& name,
           detail::ComputeWorkerScope scope;
           for (std::size_t sm = lo; sm < hi; ++sm) {
             for (std::size_t b = sm; b < num_blocks; b += num_sms) {
-              BlockCtx ctx(*this, sms_[sm], b, sm);
+              BlockCtx ctx(sms_[sm], b, sm);
               body(ctx);
             }
           }
@@ -278,11 +263,10 @@ KernelStats Device::run_kernel(const std::string& name,
   } else {
     for (std::size_t b = 0; b < num_blocks; ++b) {
       const std::size_t sm = b % config_.num_sms;
-      BlockCtx ctx(*this, sms_[sm], b, sm);
+      BlockCtx ctx(sms_[sm], b, sm);
       body(ctx);
     }
   }
-  atomic_exec_ = false;
   in_kernel_ = false;
 
   // Price the kernel. Compute throughput and DRAM bandwidth are

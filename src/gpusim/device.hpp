@@ -23,8 +23,6 @@
 
 namespace gt::gpusim {
 
-class Device;
-
 using BufferId = std::uint32_t;
 inline constexpr BufferId kInvalidBuffer = ~0u;
 
@@ -45,12 +43,6 @@ enum class BlockSafety {
   /// Apply kernels: one destination row per block). Each SM's block
   /// sequence runs on a pool worker; results are bit-identical to serial.
   kParallel,
-  /// Blocks scatter-add into shared rows through BlockCtx::atomic_add,
-  /// which turns into a CAS-add under parallel execution. Results are
-  /// correct but the float reduction order depends on interleaving — only
-  /// for kernels whose consumers tolerate that (none of the evaluation
-  /// backends do; they declare kSerial and keep bit-stable gradients).
-  kAtomicAdd,
 };
 
 /// Thrown when an allocation exceeds device capacity — reproduces the
@@ -112,20 +104,10 @@ class BlockCtx {
   /// aggregation): charged a serialization penalty.
   void atomic(std::uint64_t n = 1) { state_.atomics += n; }
 
-  /// Host-side scatter-add on possibly-shared memory. Under serial
-  /// execution this is a plain `slot += v`; when the kernel was declared
-  /// BlockSafety::kAtomicAdd and runs parallel it becomes a CAS-add so the
-  /// sum is correct whatever the interleaving. This models the data
-  /// movement of nothing — call atomic() separately to price the
-  /// serialization.
-  void atomic_add(float& slot, float v);
-
  private:
   friend class Device;
-  BlockCtx(Device& dev, SmState& state, std::size_t block,
-           std::size_t sm)
-      : dev_(dev), state_(state), block_(block), sm_(sm) {}
-  Device& dev_;
+  BlockCtx(SmState& state, std::size_t block, std::size_t sm)
+      : state_(state), block_(block), sm_(sm) {}
   SmState& state_;
   std::size_t block_;
   std::size_t sm_;
@@ -204,8 +186,6 @@ class Device {
   double profile_latency_us() const noexcept;
 
  private:
-  friend class BlockCtx;
-
   struct Buffer {
     std::string name;
     std::size_t rows = 0;
@@ -229,9 +209,6 @@ class Device {
   std::size_t alloc_count_ = 0;
   std::vector<SmState> sms_;
   bool in_kernel_ = false;
-  // True while a kAtomicAdd kernel is actually executing on pool workers;
-  // BlockCtx::atomic_add switches from plain add to CAS-add when set.
-  bool atomic_exec_ = false;
   std::vector<KernelStats> profile_;
   std::uint64_t launches_ = 0;  // run_kernel calls (fault-check 1:1)
   KernelPhase phase_ = KernelPhase::kOther;  // stamped onto profile entries

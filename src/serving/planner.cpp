@@ -125,8 +125,14 @@ void ServePlanner::finish() {
   }
 }
 
-void ServePlanner::shutdown() noexcept {
+void ServePlanner::shutdown(std::span<const PlannedBatch> unserved) noexcept {
   if (!queue_.started()) return;  // initial/starting never held requests
+  for (const PlannedBatch& b : unserved) {
+    for (const std::uint64_t id : b.request_ids) {
+      records_[id].outcome = Outcome::kShedShutdown;
+      ++shed_shutdown_;
+    }
+  }
   try {
     for (const Request& r : queue_.drain()) {
       records_[r.id].outcome = Outcome::kShedShutdown;

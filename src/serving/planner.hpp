@@ -17,11 +17,13 @@
 // Lifecycle: the planner starts its RequestQueue on construction and the
 // owner must end it through finish() (normal exit) or shutdown() (unwind
 // path) — both leave the queue `stopped`, the latter recording every
-// still-queued request as kShedShutdown.
+// still-queued request, and every rider of a planned batch that never
+// completed, as kShedShutdown.
 #pragma once
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "serving/admission.hpp"
@@ -72,8 +74,12 @@ class ServePlanner {
   void finish();
 
   /// Unwind path: drain whatever is still queued as kShedShutdown and
-  /// stop. Safe to call in any state, including after finish().
-  void shutdown() noexcept;
+  /// stop. `unserved` are batches next() handed out that never completed
+  /// (the one whose execution threw included): their riders are shed the
+  /// same way, so shed_shutdown accounts for every admitted request that
+  /// neither completed nor degraded. Only the first call after start()
+  /// acts; later calls, and calls after finish(), are no-ops.
+  void shutdown(std::span<const PlannedBatch> unserved = {}) noexcept;
 
   // Running tallies, valid after every next() call (the serve loop
   // publishes the deltas as serving.* counters between batches).

@@ -7,8 +7,12 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <string>
 
 #include <gtest/gtest.h>
+
+#include "obs/metrics.hpp"
 
 namespace gt {
 namespace {
@@ -166,6 +170,52 @@ TEST(ServiceServing, PersistentFaultDegradesOneBatchWorkerInvariantly) {
   }
   EXPECT_EQ(degraded_records, r1.degraded);
   expect_reports_equal(r1, r4);
+}
+
+// An abort mid-serve unwinds through the ring. Every admitted request must
+// still end in exactly one counter: the queued ones, the aborted batch's
+// riders, and the riders of batches planned ahead but never executed all
+// count as shed_shutdown. (Only the queue used to drain into that counter,
+// leaving 4 of 48 admitted requests uncounted at one worker and 16 at
+// four.)
+TEST(ServiceServing, AbortMidServeAccountsEveryAdmittedRequest) {
+  serving::ServeConfig cfg = base_serve(48);
+  cfg.arrival.kind = serving::ArrivalKind::kBursty;
+  cfg.arrival.rate_rps = 20'000.0;
+  auto counters = [] {
+    std::map<std::string, std::uint64_t> v;
+    for (const char* name :
+         {"arrived", "admitted", "shed_slo", "shed_queue_full",
+          "shed_shutdown", "completed", "degraded"})
+      v[name] = obs::metrics()
+                    .counter(std::string("serving.requests.") + name)
+                    .value();
+    return v;
+  };
+  for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(workers);
+    ServiceOptions opt = base_options();
+    opt.workers = workers;
+    opt.fault_spec = "gpusim.kernel@batch=3:kind=abort";
+    GnnService service = make_service(opt);
+    std::map<std::string, std::uint64_t> d = counters();
+    EXPECT_THROW(service.serve(cfg), fault::InjectedFault);
+    for (auto& [name, value] : counters()) d[name] = value - d[name];
+    EXPECT_GT(d["admitted"], 0u);
+    EXPECT_GT(d["shed_shutdown"], 0u);
+    EXPECT_EQ(d["completed"] + d["degraded"] + d["shed_shutdown"],
+              d["admitted"]);
+    EXPECT_EQ(d["admitted"] + d["shed_slo"] + d["shed_queue_full"],
+              d["arrived"]);
+
+    // The abort entry fired once and disarmed; the quarantined ring must
+    // serve the next run in full.
+    const serving::ServeReport rep = service.serve(cfg);
+    EXPECT_EQ(rep.arrived, 48u);
+    EXPECT_GT(rep.admitted, 0u);
+    EXPECT_EQ(rep.completed, rep.admitted);
+    EXPECT_EQ(rep.degraded, 0u);
+  }
 }
 
 TEST(ServiceServing, OverloadShedsInsteadOfStalling) {

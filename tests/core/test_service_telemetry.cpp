@@ -123,6 +123,31 @@ TEST(ServiceTelemetry, ChaosRunEmitsSnapshotsAndCorrelatedEvents) {
   std::filesystem::remove_all(dir);
 }
 
+// At one worker the batches run through the same ring, so an abort there
+// takes the same unwind as at four: drain, quarantine, crash flush. (The
+// old serial loop had no unwind guard and left no post-mortem.)
+TEST(ServiceTelemetry, SerialAbortCrashFlushes) {
+  const std::string dir = fresh_dir("serial_abort");
+  ServiceOptions opt = base_options();
+  opt.workers = 1;
+  opt.fault_spec = "preproc.sample@batch=1:kind=abort";
+  opt.telemetry.out_dir = dir;
+  {
+    GnnService service = make_service(opt);
+    EXPECT_THROW(service.train_batches(4), fault::InjectedFault);
+    EXPECT_TRUE(std::filesystem::exists(dir + "/crash-metrics.json"));
+    bool flushed = false;
+    for (const std::string& line : read_lines(dir + "/events.jsonl"))
+      flushed = flushed || has_type(line, "crash.flush");
+    EXPECT_TRUE(flushed);
+    const auto reports = service.train_batches(2);
+    ASSERT_EQ(reports.size(), 2u);
+    EXPECT_TRUE(reports[0].ok());
+    EXPECT_TRUE(reports[1].ok());
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // --- Telemetry must not perturb the computation ------------------------------
 
 TEST(ServiceTelemetry, ArmedRunBitIdenticalToOffRun) {

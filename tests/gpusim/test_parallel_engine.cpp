@@ -112,36 +112,6 @@ TEST(ParallelEngine, CacheStateMatchesSerialRoundRobinAssignment) {
   EXPECT_EQ(parallel.latency_us, serial.latency_us);
 }
 
-TEST(ParallelEngine, AtomicAddIsExactUnderHighCollision) {
-  // Power-law-style collision pattern: many blocks funnel +1.0f into a few
-  // hot slots. Integer-valued float adds below 2^24 are exact under any
-  // ordering, so the result must equal the serial count even though
-  // kAtomicAdd makes no bit-determinism promise for general values.
-  ThreadGuard guard;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    set_compute_threads(threads);
-    Device dev(config());
-    const std::size_t slots = 4, blocks = 4096;
-    auto buf = dev.alloc_f32(1, slots, "hist");
-    auto hist = dev.f32(buf);
-    dev.run_kernel(
-        "scatter", KernelCategory::kAggregation, blocks,
-        [&](BlockCtx& ctx) {
-          // Skewed: slot 0 absorbs every other block's increment.
-          const std::size_t s =
-              ctx.block_id() % 2 == 0 ? 0 : ctx.block_id() % slots;
-          ctx.atomic_add(hist[s], 1.0f);
-          ctx.atomic();
-        },
-        BlockSafety::kAtomicAdd);
-    // 2048 even blocks -> slot 0; odd blocks spread over slots 1 and 3.
-    EXPECT_FLOAT_EQ(hist[0], 2048.0f) << threads << " threads";
-    EXPECT_FLOAT_EQ(hist[1], 1024.0f);
-    EXPECT_FLOAT_EQ(hist[2], 0.0f);
-    EXPECT_FLOAT_EQ(hist[3], 1024.0f);
-  }
-}
-
 TEST(ParallelEngine, SerialSafetyNeverUsesThePool) {
   // A kSerial kernel may mutate shared state without synchronization; the
   // engine must run it on the calling thread even when the pool exists.
