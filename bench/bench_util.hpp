@@ -16,88 +16,25 @@
 #include <vector>
 
 #include "core/graphtensor.hpp"
-#include "obs/attrib/kernel_ledger.hpp"
-#include "obs/metrics.hpp"
+#include "obs/obs_hook.hpp"
 #include "obs/report.hpp"
-#include "obs/trace.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace gt::bench {
 
-/// Environment-driven observability hook shared by every bench binary.
-///
-/// Set GT_TRACE_OUT=<file> to enable span tracing and dump a Chrome
-/// trace-event JSON at exit; set GT_METRICS_OUT=<file> to dump the metrics
-/// registry; set GT_BENCH_OUT=<file> to dump the structured bench report
-/// (rows recorded by header()/claim()/row() plus trace-derived analysis —
-/// tracing is force-enabled so the analysis sees the simulated timeline).
-/// With none set this is inert (tracing stays disabled, the Span fast path
-/// is a single relaxed load), so benchmark numbers are unaffected by
-/// default.
-class ObsHook {
- public:
-  ObsHook() {
-    if (const char* env = std::getenv("GT_TRACE_OUT")) trace_out_ = env;
-    if (const char* env = std::getenv("GT_METRICS_OUT")) metrics_out_ = env;
-    if (const char* env = std::getenv("GT_BENCH_OUT")) bench_out_ = env;
-    if (!trace_out_.empty() || !bench_out_.empty())
-      obs::Tracer::global().enable(true);
-#ifndef GT_OBS_DISABLE
-    // GT_KERNEL_LEDGER_OUT=<file>: arm the kernel-attribution ledger for
-    // the binary's lifetime; kernels.json is written at exit below.
-    if (const char* env = std::getenv("GT_KERNEL_LEDGER_OUT"))
-      if (*env != '\0') obs::attrib::KernelLedger::global().arm(env);
-#endif
-  }
-  ~ObsHook() {
-#ifndef GT_OBS_DISABLE
-    obs::attrib::KernelLedger& ledger = obs::attrib::KernelLedger::global();
-    if (ledger.armed()) {
-      if (ledger.write_json_file())
-        std::printf("[obs] kernel ledger written to %s (%zu batches, %zu "
-                    "kernel classes)\n",
-                    ledger.out_path().c_str(), ledger.batch_count(),
-                    ledger.kernel_class_count());
-      else
-        std::fprintf(stderr, "[obs] failed to write kernel ledger to %s\n",
-                     ledger.out_path().c_str());
-      ledger.disarm();
-    }
-#endif
-    if (!trace_out_.empty()) {
-      if (obs::Tracer::global().write_chrome_trace_file(trace_out_))
-        std::printf("[obs] trace written to %s\n", trace_out_.c_str());
-      else
-        std::fprintf(stderr, "[obs] failed to write trace to %s\n",
-                     trace_out_.c_str());
-    }
-    if (!metrics_out_.empty()) {
-      if (obs::metrics().write_json_file(metrics_out_))
-        std::printf("[obs] metrics written to %s\n", metrics_out_.c_str());
-      else
-        std::fprintf(stderr, "[obs] failed to write metrics to %s\n",
-                     metrics_out_.c_str());
-    }
-    if (!bench_out_.empty()) {
-      if (obs::BenchReporter::global().write_json_file(bench_out_))
-        std::printf("[obs] bench report written to %s\n", bench_out_.c_str());
-      else
-        std::fprintf(stderr, "[obs] failed to write bench report to %s\n",
-                     bench_out_.c_str());
-    }
-  }
-  ObsHook(const ObsHook&) = delete;
-  ObsHook& operator=(const ObsHook&) = delete;
+/// Value of a GT_* output variable, or "" when unset.
+inline std::string env_path(const char* name) {
+  const char* env = std::getenv(name);
+  return env != nullptr ? env : "";
+}
 
- private:
-  std::string trace_out_;
-  std::string metrics_out_;
-  std::string bench_out_;
-};
-
-// One instance per bench binary (inline => deduplicated across TUs).
-inline ObsHook obs_hook{};
+// One environment-driven hook per bench binary (inline => deduplicated
+// across TUs); inert unless a GT_*_OUT variable names a file.
+inline obs::ObsHook obs_hook{env_path("GT_TRACE_OUT"),
+                             env_path("GT_METRICS_OUT"),
+                             env_path("GT_BENCH_OUT"),
+                             env_path("GT_KERNEL_LEDGER_OUT")};
 
 inline const std::vector<std::string>& light_datasets() {
   static const std::vector<std::string> names = {

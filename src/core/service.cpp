@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdlib>
 #include <exception>
 #include <future>
 
@@ -17,6 +15,7 @@
 #include "tensor/view.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
+#include "util/stats.hpp"
 
 namespace gt {
 
@@ -78,21 +77,12 @@ GnnService::GnnService(Dataset dataset, models::GnnModelConfig model,
   }
   if (options_.compute_threads != 0)
     set_compute_threads(options_.compute_threads);
-  std::string spec_text = options_.fault_spec;
-  if (spec_text.empty()) {
-    if (const char* env = std::getenv("GT_FAULT_SPEC")) spec_text = env;
-  }
-  if (!spec_text.empty()) {
+  if (!options_.fault_spec.empty()) {
     fault_plan_ = std::make_unique<fault::FaultPlan>(
-        fault::FaultPlan::parse(spec_text).entries());
+        fault::FaultPlan::parse(options_.fault_spec).entries());
     log_info("service: fault plan armed (", fault_plan_->entry_count(),
              " entr", fault_plan_->entry_count() == 1 ? "y" : "ies", ", ",
-             options_.max_retries, " retries max): ", spec_text);
-  }
-  if (!options_.telemetry.enabled()) {
-    const obs::live::TelemetryOptions env_opt =
-        obs::live::TelemetryOptions::from_env();
-    if (env_opt.enabled()) options_.telemetry = env_opt;
+             options_.max_retries, " retries max): ", options_.fault_spec);
   }
   if (options_.telemetry.enabled()) {
     telemetry_ = std::make_unique<obs::live::LiveTelemetry>(
@@ -107,15 +97,10 @@ GnnService::GnnService(Dataset dataset, models::GnnModelConfig model,
              ")");
   }
 #ifndef GT_OBS_DISABLE
-  std::string ledger_path = options_.kernel_ledger_out;
-  if (ledger_path.empty()) {
-    if (const char* env = std::getenv("GT_KERNEL_LEDGER_OUT"))
-      ledger_path = env;
-  }
-  if (!ledger_path.empty()) {
-    obs::attrib::KernelLedger::global().arm(ledger_path);
+  if (!options_.kernel_ledger_out.empty()) {
+    obs::attrib::KernelLedger::global().arm(options_.kernel_ledger_out);
     ledger_armed_ = true;
-    log_info("service: kernel ledger armed -> ", ledger_path);
+    log_info("service: kernel ledger armed -> ", options_.kernel_ledger_out);
   }
 #endif
   log_info("service: ", options_.framework, " on ", dataset_.spec.name,
@@ -669,16 +654,9 @@ serving::ServeReport GnnService::serve(const serving::ServeConfig& config) {
   rep.span_ticks =
       last_event > first_arrival ? last_event - first_arrival : 0;
   std::sort(latencies.begin(), latencies.end());
-  auto nearest_rank = [&](double q) -> double {
-    if (latencies.empty()) return 0.0;
-    std::size_t rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(latencies.size())));
-    rank = std::clamp<std::size_t>(rank, 1, latencies.size());
-    return static_cast<double>(latencies[rank - 1]);
-  };
-  rep.p50_latency_ticks = nearest_rank(0.50);
-  rep.p95_latency_ticks = nearest_rank(0.95);
-  rep.p99_latency_ticks = nearest_rank(0.99);
+  rep.p50_latency_ticks = nearest_rank(latencies, 0.50);
+  rep.p95_latency_ticks = nearest_rank(latencies, 0.95);
+  rep.p99_latency_ticks = nearest_rank(latencies, 0.99);
   rep.goodput_requests = goodput_requests;
   rep.goodput_rps = rep.span_ticks > 0
                         ? static_cast<double>(goodput_requests) * 1e6 /

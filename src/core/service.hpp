@@ -10,8 +10,13 @@
 // batch order. Preprocessing is parameter-independent, so the reports are
 // bit-identical at every worker count.
 //
+// Configuration is ServiceOptions alone: the service reads no environment
+// variable (service_cli's option table maps the GT_* names onto these
+// fields), so a stray shell variable cannot arm faults, telemetry or the
+// kernel ledger in every service of a process.
+//
 // Fault tolerance (DESIGN.md §11): with a fault plan armed
-// (ServiceOptions::fault_spec / GT_FAULT_SPEC), instrumented sites throw
+// (ServiceOptions::fault_spec), instrumented sites throw
 // typed InjectedFaults. The ring is exception-safe — before any unwind it
 // drains every in-flight preparation, quarantines (resets) the worker
 // contexts, runs its caller's unwind hook (serve() sheds its queue), and
@@ -100,14 +105,15 @@ struct ServiceOptions {
   bool cache_prefetch = false;
   /// Host threads for the process-wide compute engine (simulated-device
   /// kernel execution and dense tensor ops). 0 leaves the current global
-  /// setting (GT_COMPUTE_THREADS / hardware default) untouched; any other
-  /// value reconfigures the engine via set_compute_threads. Reports are
-  /// bit-identical for every value — only host wall-clock changes.
+  /// setting (the engine's GT_COMPUTE_THREADS / hardware default)
+  /// untouched; any other value reconfigures the engine via
+  /// set_compute_threads. Reports are bit-identical for every value —
+  /// only host wall-clock changes.
   std::size_t compute_threads = 0;
   /// Fault-injection schedule (gt::fault grammar, e.g.
   /// "gpusim.alloc@batch=3:layer=1;preproc.sample@batch=7"). Empty = no
-  /// plan; GT_FAULT_SPEC supplies one when this field is empty. The
-  /// constructor throws std::invalid_argument on a malformed spec.
+  /// plan. The constructor throws std::invalid_argument on a malformed
+  /// spec.
   std::string fault_spec;
   /// Recovery budget: a batch whose attempt throws a *transient*
   /// InjectedFault is re-run up to this many times before it degrades to
@@ -123,15 +129,12 @@ struct ServiceOptions {
   /// Live telemetry (DESIGN.md §12). When telemetry.out_dir is non-empty
   /// the service arms the full live stack for its lifetime: snapshot
   /// files + structured event log under that directory, per-worker stage
-  /// profiler, optional stall watchdog, crash-safe flush. When the field
-  /// is left empty the GT_TELEMETRY_* environment variables may supply
-  /// the configuration instead (TelemetryOptions::from_env). Telemetry
-  /// never changes trained parameters or priced kernel stats.
+  /// profiler, optional stall watchdog, crash-safe flush. Telemetry never
+  /// changes trained parameters or priced kernel stats.
   obs::live::TelemetryOptions telemetry;
   /// Kernel-level attribution ledger (DESIGN.md §13). Non-empty = arm the
   /// process-wide KernelLedger and write the schema-versioned kernels.json
-  /// to this path when the service is destroyed. Empty = the
-  /// GT_KERNEL_LEDGER_OUT environment variable may arm it instead. Like
+  /// to this path when the service is destroyed. Empty = off. Like
   /// telemetry, the ledger is read-only on training state: armed and
   /// disarmed runs produce bit-identical parameters and reports.
   std::string kernel_ledger_out;

@@ -6,6 +6,7 @@
 #include "dfg/least_squares.hpp"
 #include "gpusim/interconnect.hpp"
 #include "obs/metrics.hpp"
+#include "util/stats.hpp"
 
 namespace gt::dfg {
 
@@ -171,16 +172,9 @@ ResidualSummary DkpCostModel::residual_summary() const {
     total += errs.back();
   }
   std::sort(errs.begin(), errs.end());
-  // Nearest-rank quantiles: exact order statistics, defined for any n >= 1.
-  auto rank = [&](double q) {
-    const std::size_t n = errs.size();
-    std::size_t k = static_cast<std::size_t>(std::ceil(q * n));
-    if (k > 0) --k;
-    return errs[std::min(k, n - 1)];
-  };
   s.samples = errs.size();
-  s.p50_pct = rank(0.50);
-  s.p95_pct = rank(0.95);
+  s.p50_pct = nearest_rank(errs, 0.50);
+  s.p95_pct = nearest_rank(errs, 0.95);
   s.mean_pct = total / static_cast<double>(errs.size());
   return s;
 }

@@ -9,7 +9,8 @@
 // coordinates. With no scope installed — every bench and test that never
 // asked for faults — check() is a single thread-local load.
 //
-// Spec grammar (ServiceOptions::fault_spec / --fault-spec / GT_FAULT_SPEC):
+// Spec grammar (ServiceOptions::fault_spec; service_cli fills it from
+// --fault-spec, or GT_FAULT_SPEC when the flag is absent):
 //
 //   spec  := entry (';' entry)*
 //   entry := site '@' part (':' part)*

@@ -1,6 +1,8 @@
 #include "fault/harness.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 #include "datasets/catalog.hpp"
 #include "models/config.hpp"
@@ -117,6 +119,18 @@ std::uint64_t params_digest(const models::ModelParams& params) {
 }
 
 HarnessResult run_sweep(const HarnessOptions& opts) {
+  // A schedule aimed past the last batch never fires and would read as a
+  // recovery failure, so a too-short sweep is a usage error.
+  std::uint64_t reach = 0;
+  for (const std::string& spec : opts.fault_specs)
+    for (const FaultEntry& e : FaultPlan::parse(spec).entries())
+      reach = std::max(reach, e.batch + 1);
+  if (opts.batches < reach)
+    throw std::invalid_argument(
+        "a sweep of " + std::to_string(opts.batches) +
+        " batches cannot reach every schedule (one fires at batch " +
+        std::to_string(reach - 1) + "); run at least " +
+        std::to_string(reach) + " batches");
   HarnessResult result;
   const Dataset data = generate(opts.dataset, opts.dataset_seed);
   for (const std::string& backend : opts.backends) {

@@ -73,6 +73,8 @@ std::uint64_t params_digest(const models::ModelParams& params);
 /// others match the same-spec workers=worker_counts[0] digest;
 /// reports_match — the analogous per-batch intrinsic-field comparison;
 /// plus schedule-specific expectations (injected > 0, degraded/oom counts).
+/// Throws std::invalid_argument when opts.batches is too short for a
+/// schedule's batch= coordinate to fire.
 HarnessResult run_sweep(const HarnessOptions& opts = {});
 
 }  // namespace gt::fault

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 #include "obs/attrib/kernel_ledger.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
+#include "util/options.hpp"
 
 namespace gt::obs::attrib {
 
@@ -207,8 +209,8 @@ void write_text(const Attribution& a, std::ostream& os, std::size_t top_n) {
   os << "\nCost-model residual p95: " << fmt(a.base_residual_p95_pct)
      << "% -> " << fmt(a.cur_residual_p95_pct) << "%";
   if (a.cur_residual_p95_pct > a.base_residual_p95_pct &&
-      a.cur_residual_p95_pct > costmodel_drift_threshold_pct()) {
-    os << "  ** drift: above " << fmt(costmodel_drift_threshold_pct())
+      a.cur_residual_p95_pct > kCostModelDriftPct) {
+    os << "  ** drift: above " << fmt(kCostModelDriftPct)
        << "% threshold — re-fit or inspect the DKP model **";
   }
   os << "\n";
@@ -354,53 +356,49 @@ int run_gt_explain(const std::vector<std::string>& args, std::ostream& out,
           "sums-to-total invariant, 2 on usage/IO errors.\n";
   };
 
-  bool json = false, self_test = false;
+  bool json = false, self_test = false, help = false;
   std::size_t top_n = 10;
-  std::vector<std::string> paths;
-  for (const std::string& arg : args) {
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--self-test") {
-      self_test = true;
-    } else if (arg.rfind("--top=", 0) == 0) {
-      top_n = static_cast<std::size_t>(
-          std::max(1L, std::atol(arg.c_str() + 6)));
-    } else if (arg == "--help" || arg == "-h") {
-      usage(out);
-      return 0;
-    } else if (arg.rfind("--", 0) == 0) {
-      err << "gt_explain: unknown flag " << arg << "\n";
-      usage(err);
-      return 2;
-    } else {
-      paths.push_back(arg);
-    }
+  std::string base_path, cur_path;
+  try {
+    gt::parse_options(
+        {gt::text("baseline", &base_path), gt::text("current", &cur_path),
+         gt::flag("--json", &json), gt::flag("--self-test", &self_test),
+         gt::count("--top", &top_n, "kernel class count", 1),
+         gt::flag("--help", &help), gt::flag("-h", &help)},
+        args);
+  } catch (const std::invalid_argument& e) {
+    err << "gt_explain: " << e.what() << "\n";
+    return 2;
+  }
+  if (help) {
+    usage(out);
+    return 0;
   }
 
   if (self_test) {
-    if (paths.size() != 1) {
+    if (base_path.empty() || !cur_path.empty()) {
       err << "gt_explain: --self-test takes exactly one kernels.json\n";
       usage(err);
       return 2;
     }
     LedgerData base;
     std::string load_err;
-    if (!LedgerData::load(paths[0], &base, &load_err)) {
+    if (!LedgerData::load(base_path, &base, &load_err)) {
       err << "gt_explain: " << load_err << "\n";
       return 2;
     }
     return run_self_test(base, out) ? 0 : 1;
   }
 
-  if (paths.size() != 2) {
+  if (cur_path.empty()) {
     err << "gt_explain: expected exactly two kernels.json paths\n";
     usage(err);
     return 2;
   }
   LedgerData base, cur;
   std::string load_err;
-  if (!LedgerData::load(paths[0], &base, &load_err) ||
-      !LedgerData::load(paths[1], &cur, &load_err)) {
+  if (!LedgerData::load(base_path, &base, &load_err) ||
+      !LedgerData::load(cur_path, &cur, &load_err)) {
     err << "gt_explain: " << load_err << "\n";
     return 2;
   }

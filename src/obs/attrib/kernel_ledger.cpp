@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "obs/live/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/stats.hpp"
 
 namespace gt::obs::attrib {
 
@@ -179,7 +179,7 @@ void KernelLedger::write_json(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
   os << "{\n  \"schema_version\": " << kKernelLedgerSchemaVersion << ",\n";
   os << "  \"meta\": {\"drift_threshold_pct\": ";
-  write_num(os, costmodel_drift_threshold_pct());
+  write_num(os, kCostModelDriftPct);
   os << "},\n";
 
   os << "  \"totals\": {\n";
@@ -237,13 +237,8 @@ void KernelLedger::write_json(std::ostream& os) const {
   if (!residual_pcts_.empty()) {
     std::vector<double> errs = residual_pcts_;
     std::sort(errs.begin(), errs.end());
-    auto rank = [&](double q) {
-      std::size_t k = static_cast<std::size_t>(std::ceil(q * errs.size()));
-      if (k > 0) --k;
-      return errs[std::min(k, errs.size() - 1)];
-    };
-    p50 = rank(0.50);
-    p95 = rank(0.95);
+    p50 = nearest_rank(errs, 0.50);
+    p95 = nearest_rank(errs, 0.95);
     for (double e : errs) mean += e;
     mean /= static_cast<double>(errs.size());
   }
@@ -285,17 +280,6 @@ bool KernelLedger::write_json_file() const {
   return write_json_file(path);
 }
 
-double costmodel_drift_threshold_pct() {
-  static const double threshold = [] {
-    if (const char* env = std::getenv("GT_COSTMODEL_DRIFT_PCT")) {
-      const double v = std::atof(env);
-      if (v > 0.0) return v;
-    }
-    return 25.0;
-  }();
-  return threshold;
-}
-
 void observe_costmodel_residuals(std::size_t samples, double p50_pct,
                                  double p95_pct) {
   if (samples == 0) return;
@@ -304,7 +288,7 @@ void observe_costmodel_residuals(std::size_t samples, double p50_pct,
   // Rising-edge latch: one drift event per excursion above the threshold,
   // not one per batch while the model stays drifted.
   static std::atomic<bool> drifted{false};
-  const bool over = p95_pct > costmodel_drift_threshold_pct();
+  const bool over = p95_pct > kCostModelDriftPct;
   if (over && !drifted.exchange(true, std::memory_order_relaxed)) {
     metrics().counter("costmodel.drift").add(1);
     if (live::EventLog::global().armed()) {
@@ -313,7 +297,7 @@ void observe_costmodel_residuals(std::size_t samples, double p50_pct,
               .msg("DKP cost-model residual p95 above drift threshold")
               .field("p50_pct", p50_pct)
               .field("p95_pct", p95_pct)
-              .field("threshold_pct", costmodel_drift_threshold_pct())
+              .field("threshold_pct", kCostModelDriftPct)
               .field("samples", static_cast<std::uint64_t>(samples)));
     }
   } else if (!over) {

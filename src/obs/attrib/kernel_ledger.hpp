@@ -22,8 +22,9 @@
 // identity exactly and gt_explain's stage deltas sum to the measured e2e
 // delta by construction.
 //
-// Arming: GT_KERNEL_LEDGER_OUT / ServiceOptions::kernel_ledger_out /
-// --kernel-ledger-out. Off (the default), record sites skip all work
+// Arming: ServiceOptions::kernel_ledger_out (service_cli's
+// --kernel-ledger-out / GT_KERNEL_LEDGER_OUT) or a bench binary's ObsHook
+// (GT_KERNEL_LEDGER_OUT). Off (the default), record sites skip all work
 // behind one relaxed atomic load, so armed-off runs stay bit-identical —
 // and the call sites compile away entirely under GT_OBS_DISABLE.
 // Process-wide singleton like Tracer/MetricsRegistry: one ledger per
@@ -150,10 +151,9 @@ class KernelLedger {
   std::vector<double> residual_pcts_;  // fitted samples only
 };
 
-/// Drift threshold for the live costmodel.* surface: GT_COSTMODEL_DRIFT_PCT
-/// (read once), default 25 — roughly double the paper's reported 12.5%
-/// prediction error.
-double costmodel_drift_threshold_pct();
+/// Drift threshold for the live costmodel.* surface, in percent: roughly
+/// double the paper's reported 12.5% prediction error.
+inline constexpr double kCostModelDriftPct = 25.0;
 
 /// Publish the cost model's residual distribution to live telemetry:
 /// costmodel.residual.p50 / costmodel.residual.p95 gauges every call, and

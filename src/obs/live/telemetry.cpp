@@ -32,27 +32,7 @@ void telemetry_terminate_handler() {
   std::abort();
 }
 
-bool env_u64(const char* name, std::uint64_t& out) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0') return false;
-  out = parsed;
-  return true;
-}
-
 }  // namespace
-
-TelemetryOptions TelemetryOptions::from_env() {
-  TelemetryOptions opt;
-  if (const char* v = std::getenv("GT_TELEMETRY_OUT"))
-    if (*v != '\0') opt.out_dir = v;
-  std::uint64_t u = 0;
-  if (env_u64("GT_TELEMETRY_INTERVAL", u) && u > 0) opt.interval = u;
-  if (env_u64("GT_TELEMETRY_WATCHDOG_MS", u)) opt.watchdog_stall_ms = u;
-  return opt;
-}
 
 LiveTelemetry::LiveTelemetry(TelemetryOptions opt, MetricsRegistry& registry)
     : opt_(std::move(opt)), registry_(registry) {}

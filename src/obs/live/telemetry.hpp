@@ -9,11 +9,11 @@
 //   crash-metrics.json           written only by the crash flush path
 //   crash-trace.json             written only by the crash flush path
 //
-// Lifecycle: construct with options (see TelemetryOptions::from_env for
-// the GT_TELEMETRY_* environment fallbacks), start() once before the
-// serving loop, call on_batch() per completed batch (heartbeat + virtual
-// snapshot tick), stop() after the loop (final snapshot + clean close;
-// also run by the destructor). arm_crash_flush() chains a
+// Lifecycle: construct with options (service_cli fills them from its
+// --telemetry-* flags or the GT_TELEMETRY_* variables; the library reads
+// no environment), start() once before the serving loop, call on_batch()
+// per completed batch (heartbeat + virtual snapshot tick), stop() after
+// the loop (final snapshot + clean close; also run by the destructor). arm_crash_flush() chains a
 // std::terminate handler so that an uncaught exception or abort still
 // leaves a final snapshot, the flushed event log, and partial
 // trace/metrics dumps on disk — the post-mortem equivalent of the
@@ -42,11 +42,6 @@ struct TelemetryOptions {
   std::uint64_t watchdog_stall_ms = 0; // 0 = watchdog off
 
   bool enabled() const noexcept { return !out_dir.empty(); }
-
-  /// Options populated from GT_TELEMETRY_OUT, GT_TELEMETRY_INTERVAL and
-  /// GT_TELEMETRY_WATCHDOG_MS (unset or unparsable vars keep defaults).
-  /// CLI flags should override on top of this.
-  static TelemetryOptions from_env();
 };
 
 class LiveTelemetry {

@@ -68,11 +68,13 @@ class Histogram {
   double stdev() const;
   OnlineStats stats() const;
 
-  /// Quantile estimate from the fixed buckets, `q` in [0, 1]: linear
+  /// Quantile *estimate* from the fixed buckets, `q` in [0, 1]: linear
   /// interpolation inside the bucket holding the q-th observation, with
   /// the exact min/max bounding the open-ended edge buckets. Exact when a
   /// bucket holds uniformly spread values; never off by more than one
-  /// bucket width otherwise. 0 when empty.
+  /// bucket width otherwise. 0 when empty. Exact answers over a retained
+  /// sample come from util::nearest_rank (ServeReport's p50/p95/p99);
+  /// this estimate is what snapshots and gt_top show, labelled as such.
   double quantile(double q) const;
   double p50() const { return quantile(0.50); }
   double p95() const { return quantile(0.95); }

@@ -25,17 +25,6 @@ double OnlineStats::variance() const noexcept {
 
 double OnlineStats::stdev() const noexcept { return std::sqrt(variance()); }
 
-double percentile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
 std::vector<double> empirical_cdf(const std::vector<double>& values,
                                   const std::vector<double>& at) {
   std::vector<double> sorted = values;

@@ -1,8 +1,11 @@
 // Small statistics helpers used across evaluation harnesses: streaming
-// mean/stdev, percentiles, CDFs (Fig 8), and geometric means (the paper's
-// cross-workload averages are reported as means of per-workload ratios).
+// mean/stdev, nearest-rank quantiles, CDFs (Fig 8), and geometric means
+// (the paper's cross-workload averages are reported as means of
+// per-workload ratios).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -33,8 +36,18 @@ class OnlineStats {
   double sum_ = 0.0;
 };
 
-/// Percentile with linear interpolation; `q` in [0, 1]. Sorts a copy.
-double percentile(std::vector<double> values, double q);
+/// Exact nearest-rank quantile of an ascending sample: the ceil(q*n)-th
+/// smallest value (1-based, clamped to [1, n]), so every answer is an
+/// observed value; `q` in [0, 1]. 0 when empty.
+template <typename T>
+double nearest_rank(const std::vector<T>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  const double n = static_cast<double>(sorted.size());
+  const std::size_t rank =
+      static_cast<std::size_t>(std::ceil(std::clamp(q, 0.0, 1.0) * n));
+  return static_cast<double>(
+      sorted[std::clamp<std::size_t>(rank, 1, sorted.size()) - 1]);
+}
 
 /// Empirical CDF sampled at the given x points: returns P(X <= x).
 std::vector<double> empirical_cdf(const std::vector<double>& values,

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+
+#include "obs/attrib/kernel_ledger.hpp"
+
 namespace gt {
 namespace {
 
@@ -35,6 +40,30 @@ TEST(GnnService, TrainEpochReportsStats) {
   EXPECT_EQ(stats.oom_batches, 0u);
   EXPECT_GT(stats.mean_loss, 0.0);
   EXPECT_GE(stats.mean_end_to_end_us, stats.mean_kernel_us);
+}
+
+// The library reads no GT_* configuration; only service_cli's option table
+// maps those names onto ServiceOptions. A stray shell variable must not arm
+// faults, telemetry or the kernel ledger in every service of a process.
+TEST(GnnService, IgnoresGtEnvironmentVariables) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "gt_env_isolation").string();
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(setenv("GT_FAULT_SPEC", "preproc.sample@batch=0:always", 1), 0);
+  ASSERT_EQ(setenv("GT_TELEMETRY_OUT", dir.c_str(), 1), 0);
+  ASSERT_EQ(setenv("GT_KERNEL_LEDGER_OUT", (dir + ".json").c_str(), 1), 0);
+  ServiceOptions opt;
+  opt.framework = "Base-GT";
+  opt.batch_size = 48;
+  GnnService service(generate("products", 3), models::gcn(8, 47), opt);
+  unsetenv("GT_FAULT_SPEC");
+  unsetenv("GT_TELEMETRY_OUT");
+  unsetenv("GT_KERNEL_LEDGER_OUT");
+  EXPECT_EQ(service.fault_plan(), nullptr);
+  EXPECT_EQ(service.telemetry(), nullptr);
+  EXPECT_FALSE(obs::attrib::KernelLedger::global().armed());
+  EXPECT_TRUE(service.train_batch().ok());
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 TEST(GnnService, LearnsAboveChance) {

@@ -6,7 +6,6 @@
 // — a use-after-free under ASan/TSan.)
 #include "core/graphtensor.hpp"
 
-#include <cstdlib>
 
 #include <gtest/gtest.h>
 
@@ -327,18 +326,6 @@ TEST(ServiceFaults, MalformedSpecThrowsFromConstructor) {
   ServiceOptions opt = base_options();
   opt.fault_spec = "gpusim.alloc@bogus";
   EXPECT_THROW(make_service(opt), std::invalid_argument);
-}
-
-TEST(ServiceFaults, EnvironmentSpecArmsThePlan) {
-  ASSERT_EQ(setenv("GT_FAULT_SPEC", "transfer@batch=0", 1), 0);
-  ServiceOptions opt = base_options();
-  GnnService service = make_service(opt);
-  unsetenv("GT_FAULT_SPEC");
-  ASSERT_NE(service.fault_plan(), nullptr);
-  EXPECT_EQ(service.fault_plan()->entry_count(), 1u);
-  const auto reports = service.train_batches(2);
-  EXPECT_EQ(reports[0].retries, 1u);  // the env-armed fault fired
-  EXPECT_TRUE(reports[0].ok());
 }
 
 TEST(ServiceFaults, NoSpecMeansNoPlanAndNoOverhead) {

@@ -6,7 +6,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <sstream>
@@ -170,22 +169,6 @@ TEST(ServiceLedger, NoLedgerOptionMeansDisarmed) {
   EXPECT_FALSE(obs::attrib::KernelLedger::global().armed());
   service.train_batches(2);
   EXPECT_EQ(obs::attrib::KernelLedger::global().batch_count(), 0u);
-}
-
-TEST(ServiceLedger, EnvironmentArmsLedgerWhenOptionsSilent) {
-  const std::string path = fresh_path("env");
-  ASSERT_EQ(setenv("GT_KERNEL_LEDGER_OUT", path.c_str(), 1), 0);
-  {
-    GnnService service = make_service(base_options());
-    unsetenv("GT_KERNEL_LEDGER_OUT");
-    EXPECT_TRUE(obs::attrib::KernelLedger::global().armed());
-    service.train_batches(3);
-  }
-  ASSERT_TRUE(std::filesystem::exists(path));
-  obs::JsonValue doc;
-  ASSERT_TRUE(obs::json_parse_file(path, &doc, nullptr));
-  EXPECT_EQ(doc.at("totals").number_at("batches"), 3.0);
-  std::filesystem::remove(path);
 }
 
 }  // namespace

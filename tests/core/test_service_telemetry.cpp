@@ -5,7 +5,6 @@
 #include "core/graphtensor.hpp"
 
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -188,23 +187,6 @@ TEST(ServiceTelemetry, NoTelemetryOptionsMeansNoLiveStack) {
   const auto reports = service.train_batches(2);
   ASSERT_EQ(reports.size(), 2u);
   EXPECT_TRUE(reports[0].ok());
-}
-
-TEST(ServiceTelemetry, EnvironmentArmsTelemetryWhenOptionsSilent) {
-  const std::string dir = fresh_dir("env");
-  ASSERT_EQ(setenv("GT_TELEMETRY_OUT", dir.c_str(), 1), 0);
-  ASSERT_EQ(setenv("GT_TELEMETRY_INTERVAL", "2", 1), 0);
-  {
-    GnnService service = make_service(base_options());
-    unsetenv("GT_TELEMETRY_OUT");
-    unsetenv("GT_TELEMETRY_INTERVAL");
-    ASSERT_NE(service.telemetry(), nullptr);
-    EXPECT_EQ(service.telemetry()->options().interval, 2u);
-    service.train_batches(4);
-  }
-  EXPECT_TRUE(std::filesystem::exists(dir + "/latest.json"));
-  EXPECT_TRUE(std::filesystem::exists(dir + "/events.jsonl"));
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace gt::fault {
 namespace {
 
@@ -12,6 +14,23 @@ TEST(FaultHarness, ParamsDigestDiscriminates) {
   EXPECT_EQ(params_digest(a), params_digest(b));
   models::ModelParams c(models::gcn(8, 47), data.spec.feature_dim, 43);
   EXPECT_NE(params_digest(a), params_digest(c));
+}
+
+// A schedule aimed past the sweep's last batch never fires, which used to
+// read as a recovery failure; the reach comes from the parsed batch=
+// coordinates of every entry.
+TEST(FaultHarness, RejectsBatchCountsShortOfTheSchedules) {
+  HarnessOptions opts;
+  opts.backends = {"DGL"};
+  opts.worker_counts = {1};
+  opts.batches = 4;  // the stock schedules reach batch 4
+  EXPECT_THROW(run_sweep(opts), std::invalid_argument);
+  opts.fault_specs = {"transfer@batch=0;preproc.sample@batch=2:always"};
+  opts.batches = 2;
+  EXPECT_THROW(run_sweep(opts), std::invalid_argument);
+  opts.batches = 3;
+  const HarnessResult result = run_sweep(opts);
+  EXPECT_TRUE(result.all_ok);
 }
 
 // The full four-backend matrix runs in CI via tools/fault_harness; the

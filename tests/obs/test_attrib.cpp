@@ -279,7 +279,7 @@ TEST_F(LedgerTest, GtExplainCliEndToEnd) {
 TEST(CostModelDrift, GaugesAndRisingEdgeLatch) {
   metrics().gauge("costmodel.residual.p50").set(0.0);
   metrics().gauge("costmodel.residual.p95").set(0.0);
-  const double threshold = costmodel_drift_threshold_pct();
+  const double threshold = kCostModelDriftPct;
   ASSERT_GT(threshold, 0.0);
   const std::uint64_t before = metrics().counter("costmodel.drift").value();
 

@@ -493,24 +493,5 @@ TEST(LiveTelemetryDeathTest, TerminateHandlerFlushesBeforeAbort) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(TelemetryOptions, FromEnvParsesAndCliStyleOverridesWin) {
-  ASSERT_EQ(setenv("GT_TELEMETRY_OUT", "/tmp/env_dir", 1), 0);
-  ASSERT_EQ(setenv("GT_TELEMETRY_INTERVAL", "7", 1), 0);
-  ASSERT_EQ(setenv("GT_TELEMETRY_WATCHDOG_MS", "1234", 1), 0);
-  TelemetryOptions opt = TelemetryOptions::from_env();
-  EXPECT_EQ(opt.out_dir, "/tmp/env_dir");
-  EXPECT_EQ(opt.interval, 7u);
-  EXPECT_EQ(opt.watchdog_stall_ms, 1234u);
-  EXPECT_TRUE(opt.enabled());
-
-  ASSERT_EQ(setenv("GT_TELEMETRY_INTERVAL", "bogus", 1), 0);
-  EXPECT_EQ(TelemetryOptions::from_env().interval, 1u);  // unparsable => default
-
-  unsetenv("GT_TELEMETRY_OUT");
-  unsetenv("GT_TELEMETRY_INTERVAL");
-  unsetenv("GT_TELEMETRY_WATCHDOG_MS");
-  EXPECT_FALSE(TelemetryOptions::from_env().enabled());
-}
-
 }  // namespace
 }  // namespace gt::obs::live

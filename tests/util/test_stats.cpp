@@ -25,20 +25,46 @@ TEST(OnlineStats, KnownValues) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(Percentile, EndpointsAndMedian) {
-  std::vector<double> v{5.0, 1.0, 3.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 0.5), 3.0);
+TEST(NearestRank, BoundaryCases) {
+  const std::vector<double> v{1.0, 2.0, 3.0, 4.0, 5.0};
+  // q*n <= 1 selects the smallest value, q = 0 included.
+  EXPECT_DOUBLE_EQ(nearest_rank(v, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(nearest_rank(v, 0.2), 1.0);
+  // Exact ranks, and the next rank just past one.
+  EXPECT_DOUBLE_EQ(nearest_rank(v, 0.4), 2.0);
+  EXPECT_DOUBLE_EQ(nearest_rank(v, 0.41), 3.0);
+  EXPECT_DOUBLE_EQ(nearest_rank(v, 0.5), 3.0);
+  EXPECT_DOUBLE_EQ(nearest_rank(v, 0.95), 5.0);
+  // q = 1 is the maximum.
+  EXPECT_DOUBLE_EQ(nearest_rank(v, 1.0), 5.0);
+  // n = 1: every quantile is the one observation.
+  EXPECT_DOUBLE_EQ(nearest_rank(std::vector<double>{7.0}, 0.0), 7.0);
+  EXPECT_DOUBLE_EQ(nearest_rank(std::vector<double>{7.0}, 0.99), 7.0);
+  // Empty input.
+  EXPECT_DOUBLE_EQ(nearest_rank(std::vector<double>{}, 0.5), 0.0);
+  // Integer ticks come back as the observed value, not an interpolation.
+  const std::vector<std::uint64_t> ticks{10, 20, 30, 40};
+  EXPECT_DOUBLE_EQ(nearest_rank(ticks, 0.5), 20.0);
+  EXPECT_DOUBLE_EQ(nearest_rank(ticks, 0.99), 40.0);
 }
 
-TEST(Percentile, Interpolates) {
-  std::vector<double> v{0.0, 10.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.25), 2.5);
+TEST(Percentile, EndpointsAndMedian) {
+  // Even n: the median is the lower middle observation, not the midpoint
+  // an interpolating percentile would return (2.5).
+  const std::vector<double> v{1.0, 2.0, 3.0, 4.0};
+  EXPECT_DOUBLE_EQ(nearest_rank(v, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(nearest_rank(v, 0.5), 2.0);
+  EXPECT_DOUBLE_EQ(nearest_rank(v, 1.0), 4.0);
+  // Out-of-range q clamps to the endpoints.
+  EXPECT_DOUBLE_EQ(nearest_rank(v, -0.5), 1.0);
+  EXPECT_DOUBLE_EQ(nearest_rank(v, 1.5), 4.0);
 }
 
 TEST(Percentile, EmptyIsZero) {
-  EXPECT_DOUBLE_EQ(percentile({}, 0.5), 0.0);
+  for (double q : {0.0, 0.5, 1.0}) {
+    EXPECT_DOUBLE_EQ(nearest_rank(std::vector<double>{}, q), 0.0);
+    EXPECT_DOUBLE_EQ(nearest_rank(std::vector<std::uint64_t>{}, q), 0.0);
+  }
 }
 
 TEST(Cdf, MonotoneAndBounded) {

@@ -26,12 +26,12 @@
 // construction, so the default threshold exists to absorb float-format
 // round-off, not run-to-run noise.
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "obs/report.hpp"
+#include "util/options.hpp"
 
 namespace {
 
@@ -58,36 +58,29 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   gt::obs::BenchDiffOptions opt;
-  if (const char* env = std::getenv("GT_BENCH_DIFF_THRESHOLD"))
-    opt.threshold = std::atof(env);
-  std::vector<std::string> paths;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--threshold=", 0) == 0) {
-      opt.threshold = std::atof(arg.c_str() + 12);
-      if (opt.threshold < 0.0) {
-        std::fprintf(stderr, "bench_diff: threshold must be >= 0\n");
-        return 2;
-      }
-    } else if (arg == "--json") {
-      opt.json = true;
-    } else if (arg.rfind("--top=", 0) == 0) {
-      const long n = std::atol(arg.c_str() + 6);
-      opt.top_kernels = n < 0 ? 0 : static_cast<std::size_t>(n);
-    } else if (arg.rfind("--baseline-kernels=", 0) == 0) {
-      opt.baseline_kernels = arg.substr(19);
-    } else if (arg.rfind("--current-kernels=", 0) == 0) {
-      opt.current_kernels = arg.substr(18);
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "bench_diff: unknown flag %s\n", arg.c_str());
-      return usage(argv[0]);
-    } else {
-      paths.push_back(arg);
-    }
+  std::string baseline, current;
+  bool help = false;
+  try {
+    gt::parse_options(
+        {gt::text("baseline", &baseline),
+         gt::text("current", &current),
+         gt::real("--threshold", &opt.threshold, "threshold fraction",
+                  /*allow_zero=*/true)
+             .env("GT_BENCH_DIFF_THRESHOLD"),
+         gt::flag("--json", &opt.json),
+         gt::count("--top", &opt.top_kernels, "kernel class count", 0),
+         gt::text("--baseline-kernels", &opt.baseline_kernels),
+         gt::text("--current-kernels", &opt.current_kernels),
+         gt::flag("--help", &help), gt::flag("-h", &help)},
+        {argv + 1, argv + argc});
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench_diff: %s\n", e.what());
+    return 2;
   }
-  if (paths.size() != 2) return usage(argv[0]);
-  return gt::obs::run_bench_diff(paths[0], paths[1], opt, std::cout);
+  if (help) {
+    usage(argv[0]);
+    return 0;
+  }
+  if (current.empty()) return usage(argv[0]);
+  return gt::obs::run_bench_diff(baseline, current, opt, std::cout);
 }

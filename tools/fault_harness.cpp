@@ -7,31 +7,34 @@
 //
 // --quick trims the sweep to one GT backend and one baseline (the unit
 // tests cover the rest); the default runs the full four-backend matrix.
-#include <algorithm>
+// --batches (default 6) must reach every schedule's batch= coordinate (at
+// least 5 for the stock set); a bad or too-short value exits 2.
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "fault/harness.hpp"
+#include "util/options.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   gt::fault::HarnessOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--batches=", 0) == 0) {
-      opts.batches = static_cast<std::size_t>(
-          std::max(1, std::atoi(arg.c_str() + 10)));
-    } else if (arg == "--quick") {
+  bool quick = false;
+  gt::fault::HarnessResult result;
+  try {
+    gt::parse_options(
+        {gt::count("--batches", &opts.batches, "batch count", 1, 1'000'000),
+         gt::flag("--quick", &quick)},
+        {argv + 1, argv + argc});
+    if (quick) {
       opts.backends = {"DGL", "Prepro-GT"};
       opts.worker_counts = {1, 4};
-    } else {
-      std::fprintf(stderr, "usage: %s [--batches=N] [--quick]\n", argv[0]);
-      return 2;
     }
+    result = gt::fault::run_sweep(opts);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "fault_harness: %s\n", e.what());
+    return 2;
   }
-
-  const gt::fault::HarnessResult result = gt::fault::run_sweep(opts);
 
   gt::Table table({"backend", "workers", "schedule", "injected", "retries",
                    "degraded", "oom", "params", "reports", "status"});

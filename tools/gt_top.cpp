@@ -10,7 +10,10 @@
 // run on a live directory without any coordination. Rendered panels: the
 // S/R/K/T/FWP/BWP stage shares (the paper's Fig 12 decomposition), the
 // per-worker busy/utilization table with load skew, queue depth and p99
-// batch latency, retry/degradation/OOM rates, and watchdog health.
+// batch latency, retry/degradation/OOM rates, and watchdog health. Every
+// percentile shown is the snapshot histograms' bucket estimate
+// (obs::Histogram::quantile) and says so; service_cli --serve prints the
+// exact nearest-rank figures.
 //
 // Flags:
 //   --once             render one frame and exit (no screen clearing) —
@@ -22,20 +25,20 @@
 //                      event's cid must resolve to a fault.inject event
 //                      with the same cid. Exit 0 = clean, 1 = violations,
 //                      2 = unreadable directory.
-//   --refresh-ms=N     live refresh period (default 1000).
+//   --refresh-ms=N     live refresh period, 50..3600000 (default 1000).
 //   --frames=N         stop after N live frames (0 = until interrupted).
-//   --no-color         disable ANSI colors (also: NO_COLOR env, or stdout
-//                      not a terminal). Colors only ever decorate output;
+//   --no-color         disable ANSI colors (also: a non-empty NO_COLOR
+//                      env, or stdout not a terminal). Colors only ever decorate output;
 //                      the text underneath is identical either way.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,6 +48,7 @@
 #endif
 
 #include "obs/json.hpp"
+#include "util/options.hpp"
 
 namespace {
 
@@ -172,7 +176,8 @@ int render(const std::string& dir, bool clear_screen) {
     return rates.at(name).number_at("per_batch");
   };
   std::printf("\nservice\n");
-  std::printf("  queue depth   %6.0f      p99 batch e2e %10.1f us\n",
+  std::printf("  queue depth   %6.0f      p99 batch e2e %10.1f us (bucket "
+              "estimate)\n",
               gauges.number_at("service.queue_depth"),
               gauges.number_at("service.p99_latency_us"));
   std::printf("  retries       %6.0f      (%.2f/batch in window)\n",
@@ -246,7 +251,7 @@ int render(const std::string& dir, bool clear_screen) {
         hists.at("serving.request_latency_us").is_object()) {
       const JsonValue& lat = hists.at("serving.request_latency_us");
       std::printf("  latency       p50 %.0f / p95 %.0f / p99 %.0f ticks "
-                  "(%.0f sampled)\n",
+                  "(bucket estimate, %.0f sampled)\n",
                   lat.number_at("p50"), lat.number_at("p95"),
                   lat.number_at("p99"), lat.number_at("count"));
     }
@@ -430,27 +435,21 @@ int check(const std::string& dir) {
 
 int main(int argc, char** argv) {
   bool once = false, run_check = false, no_color = false;
-  int refresh_ms = 1000;
-  long frames = 0;
+  std::uint64_t refresh_ms = 1000, frames = 0;
   std::string dir;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--once") {
-      once = true;
-    } else if (arg == "--check") {
-      run_check = true;
-    } else if (arg == "--no-color") {
-      no_color = true;
-    } else if (arg.rfind("--refresh-ms=", 0) == 0) {
-      refresh_ms = std::atoi(arg.c_str() + 13);
-    } else if (arg.rfind("--frames=", 0) == 0) {
-      frames = std::atol(arg.c_str() + 9);
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      return 2;
-    } else {
-      dir = arg;
-    }
+  try {
+    // --no-color also honors the conventional NO_COLOR variable.
+    gt::parse_options(
+        {gt::text("dir", &dir), gt::flag("--once", &once),
+         gt::flag("--check", &run_check),
+         gt::flag("--no-color", &no_color).env("NO_COLOR"),
+         gt::count("--refresh-ms", &refresh_ms, "refresh period", 50,
+                   3'600'000),
+         gt::count("--frames", &frames, "frame count", 0)},
+        {argv + 1, argv + argc});
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "gt_top: %s\n", e.what());
+    return 2;
   }
   if (dir.empty()) {
     std::fprintf(stderr,
@@ -459,13 +458,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   // Colors only when stdout is an interactive terminal and nobody opted
-  // out (--no-color flag, or the conventional NO_COLOR env variable).
-  g_color = !no_color && std::getenv("NO_COLOR") == nullptr &&
-            stdout_is_tty();
+  // out.
+  g_color = !no_color && stdout_is_tty();
   if (run_check) return check(dir);
   if (once) return render(dir, /*clear_screen=*/false);
-  if (refresh_ms < 50) refresh_ms = 50;
-  long shown = 0;
+  std::uint64_t shown = 0;
   while (true) {
     // Clearing the screen needs escape support too; without a color-capable
     // terminal, frames append instead of overwriting garbage escapes.
