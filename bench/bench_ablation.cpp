@@ -178,8 +178,10 @@ void ablation_cache() {
         data.coo.num_vertices) * data.spec.feature_dim * sizeof(float);
     for (double frac : {0.0, 0.02, 0.10}) {
       frameworks::GraphTensorFramework fw(
-          frameworks::GraphTensorFramework::Variant::kPrepro,
-          static_cast<std::size_t>(table_bytes * frac));
+          frameworks::GraphTensorFramework::Variant::kPrepro);
+      sampling::CacheConfig cache;  // default policy: degree-pinned static
+      cache.budget_bytes = static_cast<std::size_t>(table_bytes * frac);
+      fw.configure_cache(cache);
       models::ModelParams params(model, data.spec.feature_dim, 7);
       frameworks::BatchSpec spec;
       frameworks::RunReport r = fw.run_batch(data, model, params, spec);

@@ -2,6 +2,11 @@
 // simulator-backed kernels across problem sizes. These measure the
 // *reproduction's* execution speed (how fast the simulation runs), not the
 // simulated GPU latency — useful for keeping the test/bench suite fast.
+//
+// Every case is registered with UseRealTime(). Most kernels run their
+// blocks on the compute pool, so google-benchmark's default (the main
+// thread's CPU time) would leave the work out of the measured time, inflate
+// items/s, and size the iteration count from that small number.
 #include <benchmark/benchmark.h>
 
 #include "graph/convert.hpp"
@@ -52,7 +57,9 @@ void BM_NapaPull(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_NapaPull)->Args({5000, 16})->Args({5000, 128})->Args({20000, 16});
+BENCHMARK(BM_NapaPull)
+    ->Args({5000, 16})->Args({5000, 128})->Args({20000, 16})
+    ->UseRealTime();
 
 void BM_NapaNeighborApply(benchmark::State& state) {
   Problem p = make_problem(2000, 500, state.range(0), state.range(1));
@@ -68,7 +75,9 @@ void BM_NapaNeighborApply(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_NapaNeighborApply)->Args({5000, 16})->Args({5000, 128});
+BENCHMARK(BM_NapaNeighborApply)
+    ->Args({5000, 16})->Args({5000, 128})
+    ->UseRealTime();
 
 void BM_GraphSpmm(benchmark::State& state) {
   Problem p = make_problem(2000, 500, state.range(0), state.range(1));
@@ -86,7 +95,7 @@ void BM_GraphSpmm(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_GraphSpmm)->Args({5000, 16})->Args({5000, 128});
+BENCHMARK(BM_GraphSpmm)->Args({5000, 16})->Args({5000, 128})->UseRealTime();
 
 void BM_DlGatherScatter(benchmark::State& state) {
   Problem p = make_problem(2000, 500, state.range(0), state.range(1));
@@ -105,7 +114,9 @@ void BM_DlGatherScatter(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_DlGatherScatter)->Args({5000, 16})->Args({5000, 128});
+BENCHMARK(BM_DlGatherScatter)
+    ->Args({5000, 16})->Args({5000, 128})
+    ->UseRealTime();
 
 void BM_FormatTranslation(benchmark::State& state) {
   Problem p = make_problem(2000, 500, state.range(0), 4);
@@ -119,7 +130,7 @@ void BM_FormatTranslation(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_FormatTranslation)->Arg(5000)->Arg(50000);
+BENCHMARK(BM_FormatTranslation)->Arg(5000)->Arg(50000)->UseRealTime();
 
 void BM_ApplyDense(benchmark::State& state) {
   Xoshiro256 rng(2);
@@ -138,7 +149,7 @@ void BM_ApplyDense(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_ApplyDense)->Args({1000, 16})->Args({1000, 544});
+BENCHMARK(BM_ApplyDense)->Args({1000, 16})->Args({1000, 544})->UseRealTime();
 
 // Tile-size sweep for the blocked matmul: register tile (row_tile) x cache
 // block (k_block = n_block). The fastest combination becomes MatmulTiling's
@@ -163,7 +174,8 @@ void BM_MatmulTiled(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulTiled)
     ->Args({4, 64})->Args({4, 128})->Args({4, 256})
-    ->Args({8, 64})->Args({8, 128})->Args({8, 256});
+    ->Args({8, 64})->Args({8, 128})->Args({8, 256})
+    ->UseRealTime();
 
 // Same kernel at 1 vs default compute threads (wall-clock scaling check;
 // identical bits either way).
@@ -181,7 +193,7 @@ void BM_MatmulThreads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * a.rows() * a.cols() *
                           b.cols());
 }
-BENCHMARK(BM_MatmulThreads)->Arg(1)->Arg(2)->Arg(8);
+BENCHMARK(BM_MatmulThreads)->Arg(1)->Arg(2)->Arg(8)->UseRealTime();
 
 }  // namespace
 

@@ -99,9 +99,9 @@
 //                              decisions, kernel-category timings, PCIe
 //                              bytes, per-epoch loss, ...).
 //   --bench-out=bench.json     (GT_BENCH_OUT) Structured bench report:
-//                              per-run latency/loss rows plus the
-//                              trace-derived critical-path / stage-share /
-//                              overlap analysis (see obs/report.hpp).
+//                              per-run latency/loss rows and run
+//                              metadata (see obs/report.hpp); the stage
+//                              breakdown is --kernel-ledger-out's.
 //   --kernel-ledger-out=kernels.json (GT_KERNEL_LEDGER_OUT) Kernel-level
 //                              attribution ledger (DESIGN.md §13):
 //                              per-kernel-class latency sums, exact

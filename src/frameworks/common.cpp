@@ -186,31 +186,16 @@ float loss_head(gpusim::Device& dev, gpusim::BufferId logits,
                 const pipeline::PreprocResult& data,
                 std::uint32_t num_classes, std::uint64_t seed,
                 gpusim::BufferId* dlogits, pipeline::BatchContext* ctx) {
-  if (ctx) {
-    // Hot path: logits, labels, and the gradient live in the context, so
-    // the loss head allocates nothing once the context is warm.
-    MatrixView host_logits = kernels::download_matrix(dev, logits,
-                                                      ctx->arena());
-    std::vector<std::uint32_t>& labels = ctx->labels();
-    labels.clear();
-    labels.reserve(host_logits.rows());
-    for (std::size_t i = 0; i < host_logits.rows(); ++i)
-      labels.push_back(
-          synthetic_label(data.batch.vid_order[i], num_classes, seed));
-    MatrixView grad =
-        ctx->arena().alloc(host_logits.rows(), host_logits.cols());
-    const float loss = softmax_cross_entropy_into(host_logits, labels, grad);
-    *dlogits = kernels::upload_matrix(dev, grad, "dlogits");
-    return loss;
-  }
-  Matrix host_logits = kernels::download_matrix(dev, logits);
-  std::vector<std::uint32_t> labels;
+  MatrixView host_logits = kernels::download_matrix(dev, logits,
+                                                    ctx->arena());
+  std::vector<std::uint32_t>& labels = ctx->labels();
+  labels.clear();
   labels.reserve(host_logits.rows());
   for (std::size_t i = 0; i < host_logits.rows(); ++i)
     labels.push_back(
         synthetic_label(data.batch.vid_order[i], num_classes, seed));
-  Matrix grad;
-  const float loss = softmax_cross_entropy(host_logits, labels, &grad);
+  MatrixView grad = ctx->arena().alloc(host_logits.rows(), host_logits.cols());
+  const float loss = softmax_cross_entropy_into(host_logits, labels, grad);
   *dlogits = kernels::upload_matrix(dev, grad, "dlogits");
   return loss;
 }

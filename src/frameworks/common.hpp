@@ -50,14 +50,14 @@ std::unique_ptr<DeviceSession> open_session(
 
 /// Softmax cross-entropy head over the batch's logits; labels are the
 /// deterministic synthetic labels of the original dst vertices. Returns the
-/// loss and uploads dL/dlogits as a device buffer. With `ctx`, the logits
-/// download, the label vector, and the gradient all live in the context
-/// (arena views / reused scratch — no heap Matrix); without, fresh owning
-/// matrices are used. Both paths are bit-identical.
+/// loss and uploads dL/dlogits as a device buffer. The logits download, the
+/// label vector, and the gradient all live in `ctx` (arena views and reused
+/// scratch, no heap Matrix), so a warm context allocates nothing here.
+/// `ctx` must not be null.
 float loss_head(gpusim::Device& dev, gpusim::BufferId logits,
                 const pipeline::PreprocResult& data, std::uint32_t num_classes,
                 std::uint64_t seed, gpusim::BufferId* dlogits,
-                pipeline::BatchContext* ctx = nullptr);
+                pipeline::BatchContext* ctx);
 
 /// Buffers a batch's per-layer SGD updates so nothing touches the model
 /// parameters until the batch reaches a reported outcome (success or OOM,

@@ -20,16 +20,8 @@ class GraphTensorFramework : public Framework {
  public:
   enum class Variant { kBase, kDynamic, kPrepro };
 
-  /// `embedding_cache_bytes` > 0 enables the degree-pinned static tier of
-  /// the embedding cache hierarchy (the legacy PaGraph-style policy, see
-  /// sampling/cache_hierarchy.hpp): per-batch lookup and transfer then
-  /// cover only cache misses. configure_cache() selects richer policies.
-  explicit GraphTensorFramework(Variant variant,
-                                std::size_t embedding_cache_bytes = 0)
-      : variant_(variant) {
-    cache_cfg_.budget_bytes = embedding_cache_bytes;
-    cache_cfg_.policy = sampling::CachePolicy::kStatic;
-  }
+  /// Starts without an embedding cache; configure_cache() enables one.
+  explicit GraphTensorFramework(Variant variant) : variant_(variant) {}
 
   std::string name() const override;
 

@@ -156,11 +156,10 @@ Matrix combine(const Matrix& x, const Matrix& w, const Matrix& b, bool relu_act,
 }
 
 MatrixView combine(Arena& arena, ConstMatrixView x, ConstMatrixView w,
-                   ConstMatrixView b, bool relu_act, MatrixView* pre_act) {
+                   ConstMatrixView b, bool relu_act) {
   MatrixView z = arena.alloc(x.rows(), w.cols());
   matmul_into(x, w, z);
   add_bias_into(ConstMatrixView(z), b, z);  // in place: elementwise-safe
-  if (pre_act != nullptr) *pre_act = z;
   if (!relu_act) return z;
   MatrixView y = arena.alloc(z.rows(), z.cols());
   relu_into(ConstMatrixView(z), y);
@@ -184,18 +183,10 @@ Matrix forward_layer(const Csr& csr, const Matrix& x, const Matrix& w,
 
 MatrixView forward_layer(Arena& arena, const Csr& csr, ConstMatrixView x,
                          ConstMatrixView w, ConstMatrixView b, Vid n_dst,
-                         AggMode f, EdgeWeightMode g, bool relu_act,
-                         LayerCacheView* cache) {
+                         AggMode f, EdgeWeightMode g, bool relu_act) {
   MatrixView weights = edge_weights(arena, csr, x, n_dst, g);
   MatrixView aggr = aggregate(arena, csr, x, weights, n_dst, f, g);
-  MatrixView pre;
-  MatrixView y = combine(arena, aggr, w, b, relu_act, &pre);
-  if (cache != nullptr) {
-    cache->weights = weights;
-    cache->aggr = aggr;
-    cache->pre_act = pre;
-  }
-  return y;
+  return combine(arena, aggr, w, b, relu_act);
 }
 
 Matrix forward_layer_combination_first(const Csr& csr, const Matrix& x,
@@ -216,28 +207,6 @@ Matrix forward_layer_combination_first(const Csr& csr, const Matrix& x,
   return relu_act ? relu(z) : z;
 }
 
-MatrixView forward_layer_combination_first(Arena& arena, const Csr& csr,
-                                           ConstMatrixView x,
-                                           ConstMatrixView w,
-                                           ConstMatrixView b, Vid n_dst,
-                                           AggMode f, EdgeWeightMode g,
-                                           bool relu_act) {
-  if (!dkp_compatible(g))
-    throw std::invalid_argument(
-        "combination-first order requires scalar (or no) edge weights");
-  MatrixView weights = edge_weights(arena, csr, x, n_dst, g);
-  MatrixView transformed = arena.alloc(x.rows(), w.cols());
-  matmul_into(x, w, transformed);
-  MatrixView aggr =
-      aggregate(arena, csr, transformed, weights, n_dst, f, g);
-  MatrixView z = arena.alloc(aggr.rows(), aggr.cols());
-  add_bias_into(ConstMatrixView(aggr), b, z);
-  if (!relu_act) return z;
-  MatrixView y = arena.alloc(z.rows(), z.cols());
-  relu_into(ConstMatrixView(z), y);
-  return y;
-}
-
 LayerGrads backward_layer(const Csr& csr, const Matrix& x, const Matrix& w,
                           Vid n_dst, AggMode f, EdgeWeightMode g,
                           bool relu_act, const Matrix& dy,
@@ -254,36 +223,6 @@ LayerGrads backward_layer(const Csr& csr, const Matrix& x, const Matrix& w,
   // Aggregation + weighting backward.
   grads.dx = Matrix::zeros(x.rows(), x.cols());
   backward_agg_core(csr, x, n_dst, f, g, da, cache.weights, grads.dx);
-  return grads;
-}
-
-LayerGradsView backward_layer(Arena& arena, const Csr& csr, ConstMatrixView x,
-                              ConstMatrixView w, Vid n_dst, AggMode f,
-                              EdgeWeightMode g, bool relu_act,
-                              ConstMatrixView dy,
-                              ConstMatrixView cache_weights,
-                              ConstMatrixView cache_aggr,
-                              ConstMatrixView cache_pre_act) {
-  if (f == AggMode::kMax)
-    throw std::invalid_argument("backward for max aggregation not supported");
-  // Combination backward.
-  ConstMatrixView dz = dy;
-  if (relu_act) {
-    MatrixView masked = arena.alloc(dy.rows(), dy.cols());
-    relu_backward_into(dy, cache_pre_act, masked);
-    dz = masked;
-  }
-  LayerGradsView grads;
-  grads.dw = arena.alloc(cache_aggr.cols(), dz.cols());
-  matmul_at_b_into(cache_aggr, dz, grads.dw);
-  grads.db = arena.alloc(1, dz.cols());
-  col_sum_into(dz, grads.db);
-  MatrixView da = arena.alloc(dz.rows(), w.rows());  // [n_dst, F]
-  matmul_a_bt_into(dz, w, da);
-
-  // Aggregation + weighting backward.
-  grads.dx = arena.alloc(x.rows(), x.cols());
-  backward_agg_core(csr, x, n_dst, f, g, da, cache_weights, grads.dx);
   return grads;
 }
 

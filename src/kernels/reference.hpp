@@ -6,10 +6,12 @@
 // (combination-first == aggregation-first for scalar edge weights) is also
 // validated against this implementation.
 //
-// Every primitive exists in two forms: the owning one (fresh Matrix per
-// call — tests and cold paths) and an arena form writing activations into
-// gt::Arena views, which the steady-state service loop uses so repeated
-// batches allocate nothing. Both compute bit-identical values.
+// Every primitive has an owning form (a fresh Matrix per call), which the
+// kernel tests use as the oracle. The forward path — edge weights,
+// aggregation, combination and the aggregation-first layer — also has an
+// arena form writing activations into gt::Arena views, which
+// GnnService::evaluate uses so repeated held-out batches allocate nothing.
+// Both forms compute bit-identical values.
 #pragma once
 
 #include <vector>
@@ -41,8 +43,7 @@ MatrixView aggregate(Arena& arena, const Csr& csr, ConstMatrixView x,
 Matrix combine(const Matrix& x, const Matrix& w, const Matrix& b, bool relu,
                Matrix* pre_act = nullptr);
 MatrixView combine(Arena& arena, ConstMatrixView x, ConstMatrixView w,
-                   ConstMatrixView b, bool relu,
-                   MatrixView* pre_act = nullptr);
+                   ConstMatrixView b, bool relu);
 
 /// Everything the backward pass needs from forward.
 struct LayerCache {
@@ -51,21 +52,13 @@ struct LayerCache {
   Matrix pre_act;  // A W + b (for the ReLU mask)
 };
 
-/// Arena-backed LayerCache: views live until the owning arena resets.
-struct LayerCacheView {
-  MatrixView weights;
-  MatrixView aggr;
-  MatrixView pre_act;
-};
-
 /// Full layer, aggregation-first: Y = act(aggregate(x) W + b).
 Matrix forward_layer(const Csr& csr, const Matrix& x, const Matrix& w,
                      const Matrix& b, Vid n_dst, AggMode f, EdgeWeightMode g,
                      bool relu, LayerCache* cache = nullptr);
 MatrixView forward_layer(Arena& arena, const Csr& csr, ConstMatrixView x,
                          ConstMatrixView w, ConstMatrixView b, Vid n_dst,
-                         AggMode f, EdgeWeightMode g, bool relu,
-                         LayerCacheView* cache = nullptr);
+                         AggMode f, EdgeWeightMode g, bool relu);
 
 /// Full layer, combination-first (the DKP-rewritten order):
 /// Y = act(aggregate(x W, weights(x)) + b). Requires dkp_compatible(g).
@@ -73,12 +66,6 @@ Matrix forward_layer_combination_first(const Csr& csr, const Matrix& x,
                                        const Matrix& w, const Matrix& b,
                                        Vid n_dst, AggMode f, EdgeWeightMode g,
                                        bool relu);
-MatrixView forward_layer_combination_first(Arena& arena, const Csr& csr,
-                                           ConstMatrixView x,
-                                           ConstMatrixView w,
-                                           ConstMatrixView b, Vid n_dst,
-                                           AggMode f, EdgeWeightMode g,
-                                           bool relu);
 
 struct LayerGrads {
   Matrix dx;  // [n_vertices, F]
@@ -86,22 +73,10 @@ struct LayerGrads {
   Matrix db;  // 1 x H
 };
 
-struct LayerGradsView {
-  MatrixView dx;
-  MatrixView dw;
-  MatrixView db;
-};
-
 /// Backward through the aggregation-first layer. kMax is unsupported
 /// (throws): training models here use sum/mean, as the paper's GCN/NGCF do.
 LayerGrads backward_layer(const Csr& csr, const Matrix& x, const Matrix& w,
                           Vid n_dst, AggMode f, EdgeWeightMode g, bool relu,
                           const Matrix& dy, const LayerCache& cache);
-LayerGradsView backward_layer(Arena& arena, const Csr& csr, ConstMatrixView x,
-                              ConstMatrixView w, Vid n_dst, AggMode f,
-                              EdgeWeightMode g, bool relu, ConstMatrixView dy,
-                              ConstMatrixView cache_weights,
-                              ConstMatrixView cache_aggr,
-                              ConstMatrixView cache_pre_act);
 
 }  // namespace gt::kernels::ref

@@ -20,24 +20,10 @@ namespace gt::obs::live {
 
 // ---- TimeSeriesRing ---------------------------------------------------------
 
-TimeSeriesRing::TimeSeriesRing(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 2)) {
-  ring_.resize(capacity_);
-}
-
 void TimeSeriesRing::push(SnapshotSample s) {
-  if (size_ < capacity_) {
-    ring_[(head_ + size_) % capacity_] = std::move(s);
-    ++size_;
-    return;
-  }
-  ring_[head_] = std::move(s);
-  head_ = (head_ + 1) % capacity_;
-}
-
-const SnapshotSample& TimeSeriesRing::at(std::size_t i) const {
-  if (i >= size_) throw std::out_of_range("TimeSeriesRing::at");
-  return ring_[(head_ + i) % capacity_];
+  prev_ = std::move(cur_);
+  cur_ = std::move(s);
+  size_ = std::min(size_ + 1, 2);
 }
 
 namespace {
@@ -88,18 +74,16 @@ const std::uint64_t* find_counter(const SnapshotSample& s,
 TimeSeriesRing::Rate TimeSeriesRing::rate(std::string_view counter) const {
   Rate r;
   if (size_ < 2) return r;
-  const SnapshotSample& prev = at(size_ - 2);
-  const SnapshotSample& cur = at(size_ - 1);
-  const std::uint64_t* a = find_counter(prev, counter);
-  const std::uint64_t* b = find_counter(cur, counter);
+  const std::uint64_t* a = find_counter(prev_, counter);
+  const std::uint64_t* b = find_counter(cur_, counter);
   if (a == nullptr || b == nullptr) return r;
   // Counters are monotonic; a reset() between samples shows as a smaller
   // value, which we clamp to zero delta rather than a negative rate.
   const double delta =
       *b >= *a ? static_cast<double>(*b - *a) : 0.0;
-  const double dt_sec = (cur.ts_ms - prev.ts_ms) / 1e3;
+  const double dt_sec = (cur_.ts_ms - prev_.ts_ms) / 1e3;
   const double dbatch = static_cast<double>(
-      cur.batches >= prev.batches ? cur.batches - prev.batches : 0);
+      cur_.batches >= prev_.batches ? cur_.batches - prev_.batches : 0);
   r.per_sec = dt_sec > 0.0 ? delta / dt_sec : 0.0;
   r.per_batch = dbatch > 0.0 ? delta / dbatch : 0.0;
   r.known = true;
@@ -110,8 +94,7 @@ TimeSeriesRing::Rate TimeSeriesRing::rate(std::string_view counter) const {
 
 TelemetrySnapshotter::TelemetrySnapshotter(MetricsRegistry& registry,
                                            SnapshotterOptions opt)
-    : registry_(registry), opt_(std::move(opt)),
-      ring_(std::max<std::size_t>(opt_.window, 2)) {
+    : registry_(registry), opt_(std::move(opt)) {
   if (opt_.interval == 0) opt_.interval = 1;
   if (opt_.keep == 0) opt_.keep = 1;
   std::error_code ec;
@@ -243,8 +226,9 @@ void TelemetrySnapshotter::write_snapshot(const SnapshotSample& cur,
     os << "}";
   }
 
-  // Stage totals + shares. Shares are over the six fine-grained pipeline
-  // stages (S/R/K/T/FWP/BWP) — the Fig 12 decomposition — not the two
+  // Stage totals + shares of host wall-clock busy time. Shares are over
+  // the six fine-grained pipeline stages (S/R/K/T/FWP/BWP) — the Fig 12
+  // decomposition applied to the simulator's own threads — not the two
   // enclosing phases, which would double-count them.
   const WorkerProfiler& prof = WorkerProfiler::global();
   const auto totals = prof.stage_totals();

@@ -1,15 +1,13 @@
-// TelemetrySnapshotter: windowed time-series sampling of the metrics
-// registry, emitted as schema-versioned snapshot JSON while the service
-// runs.
+// TelemetrySnapshotter: periodic sampling of the metrics registry,
+// emitted as schema-versioned snapshot JSON while the service runs.
 //
 // PRs 1-2 made the obs stack post-hoc: metrics/trace/bench JSON exist
 // only after the run ends, which is useless for a long-lived serving
 // loop. The snapshotter closes that gap without threads or clocks in the
 // hot path: the service calls tick() once per completed batch (a virtual
 // tick — deterministic, unlike a timer thread), and every `interval`
-// ticks the snapshotter samples every counter and gauge into a bounded
-// ring buffer, computes rates against the previous window, and writes one
-// snapshot file.
+// ticks the snapshotter samples every counter and gauge, computes rates
+// against the previous sample, and writes one snapshot file.
 //
 // File layout under `dir`:
 //   snapshot-<seq % keep>.json   rotating set, bounded disk usage
@@ -26,10 +24,16 @@
 //     "worker_skew":s,                                  // max/mean busy
 //     "health":{"state":"ok|stalled","heartbeats":N,"stalls":N} }
 //
-// Memory is bounded by `window` ring entries x the registry size; the
-// sampler never allocates into the registry, never mutates a metric, and
-// never touches model or kernel state — telemetry-armed runs are
-// bit-identical to telemetry-off runs in every priced and trained value.
+// "stages" and "workers" are the WorkerProfiler's host wall-clock busy
+// time of the simulator's own threads, not the modeled system: the modeled
+// (virtual-time) Fig 12 S/R/K/T + FWP/BWP breakdown is the kernel ledger's
+// kernels.json (obs/attrib/kernel_ledger.hpp).
+//
+// Memory is two samples x the registry size: the rates need only the
+// previous sample and the current one. The sampler never allocates into
+// the registry, never mutates a metric, and never touches model or kernel
+// state — telemetry-armed runs are bit-identical to telemetry-off runs in
+// every priced and trained value.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +51,7 @@ class StallWatchdog;
 
 inline constexpr int kSnapshotSchemaVersion = 1;
 
-/// One sampled window: every counter and gauge at a point in time.
+/// One sample: every counter and gauge at a point in time.
 struct SnapshotSample {
   std::uint64_t seq = 0;
   double ts_ms = 0.0;        // gt::log clock, shared with the event log
@@ -56,22 +60,15 @@ struct SnapshotSample {
   std::vector<std::pair<std::string, double>> gauges;           // sorted
 };
 
-/// Fixed-capacity ring of samples, oldest overwritten first. The rate
-/// math lives here so it is unit-testable without a registry.
+/// The two newest samples, previous and current: all a rate needs. The
+/// rate math lives here so it is unit-testable without a registry.
 class TimeSeriesRing {
  public:
-  explicit TimeSeriesRing(std::size_t capacity);
-
+  /// `s` becomes the current sample; the current one becomes previous.
   void push(SnapshotSample s);
 
-  std::size_t size() const noexcept { return size_; }
-  std::size_t capacity() const noexcept { return capacity_; }
-  bool empty() const noexcept { return size_ == 0; }
-
-  /// i = 0 is the oldest retained sample.
-  const SnapshotSample& at(std::size_t i) const;
-  const SnapshotSample& oldest() const { return at(0); }
-  const SnapshotSample& newest() const { return at(size_ - 1); }
+  /// The current sample (a default one before the first push).
+  const SnapshotSample& newest() const noexcept { return cur_; }
 
   struct Rate {
     double per_sec = 0.0;    // counter delta / wall seconds
@@ -84,17 +81,15 @@ class TimeSeriesRing {
   Rate rate(std::string_view counter) const;
 
  private:
-  std::vector<SnapshotSample> ring_;
-  std::size_t capacity_;
-  std::size_t head_ = 0;  // index of the oldest sample
-  std::size_t size_ = 0;
+  SnapshotSample prev_;
+  SnapshotSample cur_;
+  int size_ = 0;  // samples held: 0, 1 or 2
 };
 
 struct SnapshotterOptions {
   std::string dir;             // output directory (created on demand)
   std::uint64_t interval = 1;  // batches between snapshots (>= 1)
   std::size_t keep = 16;       // rotating snapshot file count (>= 1)
-  std::size_t window = 64;     // ring capacity (>= 2 for rates)
 };
 
 class TelemetrySnapshotter {

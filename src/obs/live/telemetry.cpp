@@ -46,7 +46,6 @@ void LiveTelemetry::start() {
   sopt.dir = opt_.out_dir;
   sopt.interval = opt_.interval;
   sopt.keep = opt_.keep;
-  sopt.window = opt_.window;
   snapshotter_ = std::make_unique<TelemetrySnapshotter>(registry_, sopt);
   EventLog::global().open(opt_.out_dir + "/events.jsonl");
   WorkerProfiler::global().reset();

@@ -38,7 +38,6 @@ struct TelemetryOptions {
   std::string out_dir;                 // empty = telemetry disabled
   std::uint64_t interval = 1;          // batches per snapshot
   std::size_t keep = 16;               // rotating snapshot files
-  std::size_t window = 64;             // time-series ring capacity
   std::uint64_t watchdog_stall_ms = 0; // 0 = watchdog off
 
   bool enabled() const noexcept { return !out_dir.empty(); }

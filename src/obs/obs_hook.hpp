@@ -5,11 +5,11 @@
 // environment values (bench/bench_util.hpp); service_cli passes its option
 // table's values.
 //
-// A trace or bench-report path enables span tracing for the hook's
-// lifetime: the bench report embeds the trace-derived analysis, so it
-// needs the simulated timeline too. With every path empty the hook is
-// inert (tracing stays disabled, the Span fast path is a single relaxed
-// load), so measured numbers are unaffected by default.
+// Only a trace path enables span tracing, for the hook's lifetime. The
+// bench report is rows and run metadata alone (the modeled stage breakdown
+// is the ledger's kernels.json), so it needs no timeline. Without a trace
+// path tracing stays disabled and the Span fast path is a single relaxed
+// load, so measured numbers are unaffected by default.
 #pragma once
 
 #include <cstdio>
@@ -30,8 +30,7 @@ class ObsHook {
         metrics_out_(std::move(metrics_out)),
         bench_out_(std::move(bench_out)),
         ledger_out_(std::move(ledger_out)) {
-    if (!trace_out_.empty() || !bench_out_.empty())
-      Tracer::global().enable(true);
+    if (!trace_out_.empty()) Tracer::global().enable(true);
 #ifndef GT_OBS_DISABLE
     if (!ledger_out_.empty()) attrib::KernelLedger::global().arm(ledger_out_);
 #endif

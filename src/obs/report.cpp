@@ -155,8 +155,7 @@ void BenchReporter::clear() {
   figure_.clear();
 }
 
-void BenchReporter::write_json(std::ostream& os,
-                               const TraceAnalysis& analysis) const {
+void BenchReporter::write_json(std::ostream& os) const {
   std::lock_guard lock(mu_);
   // Figures sorted by name for byte-stable output (recording order is a
   // run-time detail; rows keep it because it mirrors the printed tables).
@@ -201,15 +200,13 @@ void BenchReporter::write_json(std::ostream& os,
     os << "}";
   }
   os << "\n  ],\n  \"schema_version\": " << kBenchReportSchemaVersion;
-  os << ",\n  \"trace_analysis\": ";
-  analysis.write_json(os, 2);
   os << "\n}\n";
 }
 
 bool BenchReporter::write_json_file(const std::string& path) const {
   std::ofstream f(path);
   if (!f) return false;
-  write_json(f, TraceAnalysis::from_tracer(Tracer::global()));
+  write_json(f);
   return static_cast<bool>(f);
 }
 
@@ -247,7 +244,6 @@ bool BenchReport::from_json(const JsonValue& doc, BenchReport* out,
     row.measured = r.number_at("measured");
     out->rows.push_back(std::move(row));
   }
-  out->trace_analysis = doc.at("trace_analysis");
   return true;
 }
 
@@ -336,27 +332,6 @@ std::string row_label(const BenchRow& r) {
   if (!r.dataset.empty()) label += " [" + r.dataset + "]";
   if (!r.framework.empty()) label += " (" + r.framework + ")";
   return label;
-}
-
-void diff_trace_analysis(const BenchReport& baseline,
-                         const BenchReport& current, std::ostream& os) {
-  if (!baseline.trace_analysis.is_object() ||
-      !current.trace_analysis.is_object())
-    return;
-  const std::pair<const char*, const char*> keys[] = {
-      {"critical_path_us", nullptr}, {"span_us", nullptr},
-      {"overlap", "efficiency"},     {"pcie", "idle_fraction"}};
-  os << "\ntrace analysis (informational, not gated):\n";
-  for (const auto& [k1, k2] : keys) {
-    const JsonValue& b0 = baseline.trace_analysis.at(k1);
-    const JsonValue& c0 = current.trace_analysis.at(k1);
-    const double b = k2 == nullptr ? b0.as_number() : b0.number_at(k2);
-    const double c = k2 == nullptr ? c0.as_number() : c0.number_at(k2);
-    char line[160];
-    std::snprintf(line, sizeof line, "  %s%s%s: %.6g -> %.6g\n", k1,
-                  k2 == nullptr ? "" : ".", k2 == nullptr ? "" : k2, b, c);
-    os << line;
-  }
 }
 
 /// "dir/report.json" -> "dir/kernels.json": the default artifact layout
@@ -521,7 +496,6 @@ int run_bench_diff(const std::string& baseline_path,
          Table::fmt_pct(d.err_baseline), Table::fmt_pct(d.err_current)});
   }
   os << table.to_string();
-  diff_trace_analysis(baseline, current, os);
 
   os << "\n" << diff.deltas.size() << " rows compared: " << regressed
      << " regressed, " << missing << " missing\n";
@@ -554,14 +528,6 @@ int run_bench_diff(const std::string& baseline_path,
   }
   os << "bench_diff: OK\n";
   return 0;
-}
-
-int run_bench_diff(const std::string& baseline_path,
-                   const std::string& current_path, double threshold,
-                   std::ostream& os) {
-  BenchDiffOptions opt;
-  opt.threshold = threshold;
-  return run_bench_diff(baseline_path, current_path, opt, os);
 }
 
 }  // namespace gt::obs

@@ -12,12 +12,18 @@
 //     "meta": { binary, build_type, git_sha, iterations, threads },
 //     "rows": [ { dataset, figure, framework, measured, metric,
 //                 paper, unit }, ... ],
-//     "schema_version": 1,
-//     "trace_analysis": { ... }   // see obs/analysis.hpp
+//     "schema_version": 1
 //   }
 //
 // All keys are emitted in sorted order and rows in recording order, so
 // two runs of a deterministic benchmark produce byte-identical files.
+//
+// The report holds no stage breakdown. The modeled (virtual-time) Fig 12
+// split into S/R/K/T + FWP/BWP is the kernel ledger's `kernels.json`
+// (obs/attrib/kernel_ledger.hpp), written next to the report when
+// GT_KERNEL_LEDGER_OUT is set. The reader ignores top-level members it
+// does not know, so reports from older versions, which carried a
+// trace-derived analysis section, still load and gate.
 //
 // The same header declares the reading half (BenchReport::load) and the
 // regression gate (diff_reports / run_bench_diff) used by both the
@@ -30,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/analysis.hpp"
 #include "obs/json.hpp"
 
 namespace gt::obs {
@@ -90,9 +95,9 @@ class BenchReporter {
   /// Drop rows and figure contexts (meta survives). For tests.
   void clear();
 
-  /// Write the report; `analysis` becomes the "trace_analysis" section.
-  void write_json(std::ostream& os, const TraceAnalysis& analysis) const;
-  /// Convenience: analyze the global tracer, then write. False on IO error.
+  /// Write the report in the layout above.
+  void write_json(std::ostream& os) const;
+  /// Same, to a file. False on IO error.
   bool write_json_file(const std::string& path) const;
 
  private:
@@ -108,7 +113,6 @@ struct BenchReport {
   int schema_version = 0;
   RunMeta meta;
   std::vector<BenchRow> rows;
-  JsonValue trace_analysis;  // raw section; null when absent
 
   static bool from_json(const JsonValue& doc, BenchReport* out,
                         std::string* error = nullptr);
@@ -168,10 +172,5 @@ struct BenchDiffOptions {
 int run_bench_diff(const std::string& baseline_path,
                    const std::string& current_path,
                    const BenchDiffOptions& options, std::ostream& os);
-
-/// Back-compat shim: default options with `threshold`.
-int run_bench_diff(const std::string& baseline_path,
-                   const std::string& current_path, double threshold,
-                   std::ostream& os);
 
 }  // namespace gt::obs

@@ -83,17 +83,30 @@ TEST(ServiceLedger, WritesConsistentArtifactOnDestruction) {
   expect_near_rel(identity, totals.number_at("end_to_end_us"), 1e-6,
                   "attribution identity");
 
-  // Ledger totals reconcile with the reports the caller saw.
-  double e2e = 0.0, fwp = 0.0, bwp = 0.0;
+  // Ledger totals reconcile with the reports the caller saw: every stage of
+  // the Fig 12 breakdown is the sum of what the batch reports priced.
+  double e2e = 0.0, fwp = 0.0, bwp = 0.0, makespan = 0.0;
+  double stage[4] = {0.0, 0.0, 0.0, 0.0};
   for (const frameworks::RunReport& r : reports) {
     ASSERT_TRUE(r.ok());
     e2e += r.end_to_end_us;
     fwp += r.fwp_us;
     bwp += r.bwp_us;
+    makespan += r.preproc_makespan_us;
+    for (int t = 0; t < 4; ++t) stage[t] += r.schedule.type_busy_us[t];
   }
   expect_near_rel(totals.number_at("end_to_end_us"), e2e, 1e-6, "e2e sum");
   expect_near_rel(totals.number_at("fwp_us"), fwp, 1e-6, "fwp sum");
   expect_near_rel(totals.number_at("bwp_us"), bwp, 1e-6, "bwp sum");
+  expect_near_rel(totals.number_at("makespan_us"), makespan, 1e-6,
+                  "makespan sum");
+  const char* stage_keys[4] = {"sampling_us", "reindex_us", "lookup_us",
+                               "transfer_us"};
+  for (int t = 0; t < 4; ++t) {
+    EXPECT_GT(stage[t], 0.0) << stage_keys[t];
+    expect_near_rel(totals.number_at(stage_keys[t]), stage[t], 1e-6,
+                    stage_keys[t]);
+  }
 
   // Per-phase kernel-class sums cover the phase totals exactly: every
   // profiled microsecond of FWP/BWP is attributed to some kernel class.

@@ -67,8 +67,10 @@ TEST(EmbeddingCacheFramework, SameLossShorterPreprocessing) {
   models::ModelParams p1(model, data.spec.feature_dim, 7);
   RunReport without = plain.run_batch(data, model, p1, spec);
 
-  GraphTensorFramework cached(GraphTensorFramework::Variant::kPrepro,
-                              /*embedding_cache_bytes=*/8 << 20);
+  GraphTensorFramework cached(GraphTensorFramework::Variant::kPrepro);
+  sampling::CacheConfig cache;  // default policy: degree-pinned static
+  cache.budget_bytes = 8 << 20;
+  cached.configure_cache(cache);
   models::ModelParams p2(model, data.spec.feature_dim, 7);
   RunReport with = cached.run_batch(data, model, p2, spec);
 
@@ -86,8 +88,10 @@ TEST(EmbeddingCacheFramework, ZeroHitRateOnUniformGraphIsHarmless) {
   auto model = models::gcn(8, 2);
   BatchSpec spec;
   spec.batch_size = 64;
-  GraphTensorFramework cached(GraphTensorFramework::Variant::kPrepro,
-                              /*embedding_cache_bytes=*/1 << 20);
+  GraphTensorFramework cached(GraphTensorFramework::Variant::kPrepro);
+  sampling::CacheConfig cache;  // default policy: degree-pinned static
+  cache.budget_bytes = 1 << 20;
+  cached.configure_cache(cache);
   GraphTensorFramework plain(GraphTensorFramework::Variant::kPrepro);
   models::ModelParams p1(model, data.spec.feature_dim, 7);
   models::ModelParams p2(model, data.spec.feature_dim, 7);

@@ -90,7 +90,7 @@ class BenchDiffCli : public ::testing::Test {
     std::string path = ::testing::TempDir() + "gt_bench_diff_" + tag +
                        ".json";
     std::ofstream os(path);
-    r.write_json(os, TraceAnalysis{});
+    r.write_json(os);
     os << "\n";
     return path;
   }
@@ -122,15 +122,17 @@ TEST_F(BenchDiffCli, ExitCodesForCleanRegressedAndUnreadable) {
   r.clear();
 
   std::ostringstream out;
-  EXPECT_EQ(run_bench_diff(base, same, 0.05, out), 0);
+  EXPECT_EQ(run_bench_diff(base, same, BenchDiffOptions{}, out), 0);
   EXPECT_NE(out.str().find("OK"), std::string::npos);
 
   out.str("");
-  EXPECT_EQ(run_bench_diff(base, bad, 0.05, out), 1);
+  EXPECT_EQ(run_bench_diff(base, bad, BenchDiffOptions{}, out), 1);
   EXPECT_NE(out.str().find("regress"), std::string::npos);
 
   out.str("");
-  EXPECT_EQ(run_bench_diff(base, "/nonexistent/nope.json", 0.05, out), 2);
+  EXPECT_EQ(
+      run_bench_diff(base, "/nonexistent/nope.json", BenchDiffOptions{}, out),
+      2);
 }
 
 TEST_F(BenchDiffCli, MissingBaselineRowIsIncompleteNotRegressed) {
@@ -153,7 +155,7 @@ TEST_F(BenchDiffCli, MissingBaselineRowIsIncompleteNotRegressed) {
   // regression (1) or a clean pass (0): it exits 2 with a per-row
   // diagnostic naming the vanished baseline row.
   std::ostringstream out;
-  EXPECT_EQ(run_bench_diff(base, cur, 0.05, out), 2);
+  EXPECT_EQ(run_bench_diff(base, cur, BenchDiffOptions{}, out), 2);
   EXPECT_NE(out.str().find("is missing from"), std::string::npos);
   EXPECT_NE(out.str().find(cur), std::string::npos);
   EXPECT_NE(out.str().find("comparison incomplete"), std::string::npos);
@@ -167,7 +169,7 @@ TEST_F(BenchDiffCli, MissingBaselineRowIsIncompleteNotRegressed) {
   cleanup_.push_back(worse);
   r.clear();
   out.str("");
-  EXPECT_EQ(run_bench_diff(base, worse, 0.05, out), 2);
+  EXPECT_EQ(run_bench_diff(base, worse, BenchDiffOptions{}, out), 2);
 }
 
 // --- --json + kernel attribution ---------------------------------------------

@@ -170,26 +170,8 @@ SnapshotSample make_sample(std::uint64_t seq, double ts_ms,
   return s;
 }
 
-TEST(TimeSeriesRing, WrapsAroundKeepingNewest) {
-  TimeSeriesRing ring(3);
-  EXPECT_TRUE(ring.empty());
-  for (std::uint64_t i = 0; i < 5; ++i)
-    ring.push(make_sample(i, static_cast<double>(i), i, i));
-  EXPECT_EQ(ring.size(), 3u);
-  EXPECT_EQ(ring.capacity(), 3u);
-  EXPECT_EQ(ring.oldest().seq, 2u);  // 0 and 1 were overwritten
-  EXPECT_EQ(ring.at(1).seq, 3u);
-  EXPECT_EQ(ring.newest().seq, 4u);
-  EXPECT_THROW(ring.at(3), std::out_of_range);
-}
-
-TEST(TimeSeriesRing, CapacityClampsToTwoForRates) {
-  TimeSeriesRing ring(0);
-  EXPECT_EQ(ring.capacity(), 2u);
-}
-
 TEST(TimeSeriesRing, RateFromTwoNewestSamples) {
-  TimeSeriesRing ring(4);
+  TimeSeriesRing ring;
   EXPECT_FALSE(ring.rate("a.count").known);  // empty
   ring.push(make_sample(0, 1000.0, 10, 100));
   EXPECT_FALSE(ring.rate("a.count").known);  // one sample
@@ -198,13 +180,13 @@ TEST(TimeSeriesRing, RateFromTwoNewestSamples) {
   ASSERT_TRUE(r.known);
   EXPECT_DOUBLE_EQ(r.per_sec, 30.0);   // +60 over 2 s
   EXPECT_DOUBLE_EQ(r.per_batch, 15.0); // +60 over 4 batches
-  // Rates always use the two NEWEST samples, even after wraparound.
+  // Rates always use the two NEWEST samples: a third push drops the first.
   ring.push(make_sample(2, 4000.0, 15, 200));
   EXPECT_DOUBLE_EQ(ring.rate("a.count").per_sec, 40.0);
 }
 
 TEST(TimeSeriesRing, CounterResetClampsToZeroDelta) {
-  TimeSeriesRing ring(4);
+  TimeSeriesRing ring;
   ring.push(make_sample(0, 0.0, 0, 500));
   ring.push(make_sample(1, 1000.0, 1, 20));  // registry reset mid-run
   const auto r = ring.rate("a.count");
@@ -214,7 +196,7 @@ TEST(TimeSeriesRing, CounterResetClampsToZeroDelta) {
 }
 
 TEST(TimeSeriesRing, CounterAbsentFromEitherSampleIsUnknown) {
-  TimeSeriesRing ring(4);
+  TimeSeriesRing ring;
   SnapshotSample without = make_sample(0, 0.0, 0, 1);
   without.counters = {{"z.other", 1}};
   ring.push(without);

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "json_checker.hpp"
 #include "obs/json.hpp"
+#include "obs/obs_hook.hpp"
+#include "obs/trace.hpp"
 
 namespace gt::obs {
 namespace {
@@ -74,7 +78,7 @@ TEST(BenchReporter, JsonRoundTripPreservesRowsAndMeta) {
   r.add_row(row("cache x", "products", "", 0.0, 1.25));
 
   std::ostringstream os;
-  r.write_json(os, TraceAnalysis{});
+  r.write_json(os);
   const std::string json = os.str();
   r.clear();
   EXPECT_TRUE(testing::JsonChecker(json).valid()) << json;
@@ -99,7 +103,6 @@ TEST(BenchReporter, JsonRoundTripPreservesRowsAndMeta) {
   EXPECT_DOUBLE_EQ(parsed.rows[0].measured, 97.5);
   EXPECT_EQ(parsed.rows[1].framework, "");
   EXPECT_DOUBLE_EQ(parsed.rows[1].measured, 1.25);
-  EXPECT_TRUE(parsed.trace_analysis.is_object());
 }
 
 TEST(BenchReporter, WriteIsByteStable) {
@@ -107,8 +110,8 @@ TEST(BenchReporter, WriteIsByteStable) {
   r.set_context("Fig Z", "stability");
   r.add_row(row("m", "d", "", 1.0, 1.5));
   std::ostringstream a, b;
-  r.write_json(a, TraceAnalysis{});
-  r.write_json(b, TraceAnalysis{});
+  r.write_json(a);
+  r.write_json(b);
   r.clear();
   EXPECT_EQ(a.str(), b.str());
 }
@@ -120,6 +123,37 @@ TEST(BenchReport, RejectsWrongSchemaVersion) {
   BenchReport parsed;
   EXPECT_FALSE(BenchReport::from_json(doc, &parsed, &err));
   EXPECT_NE(err.find("schema"), std::string::npos) << err;
+}
+
+// A bench report is rows and metadata only, so a hook that holds just a
+// report path must leave span tracing off.
+TEST(ObsHook, BenchReportPathAloneLeavesTracingOff) {
+  Tracer::global().enable(false);
+  const std::string path = ::testing::TempDir() + "gt_obs_hook_bench.json";
+  BenchReporter& r = fresh_global();
+  {
+    ObsHook hook("", "", path, "");
+    EXPECT_FALSE(Tracer::global().enabled());
+    r.set_context("Fig H", "hook test");
+    r.add_row(row("latency", "products", "", 0.0, 2.5, "us"));
+  }
+  r.clear();
+  EXPECT_FALSE(Tracer::global().enabled());
+
+  JsonValue doc;
+  std::string err;
+  ASSERT_TRUE(json_parse_file(path, &doc, &err)) << err;
+  std::remove(path.c_str());
+  // Exactly the rows-and-metadata members: no derived analysis section.
+  std::vector<std::string> members;
+  for (const auto& [key, value] : doc.as_object()) members.push_back(key);
+  EXPECT_EQ(members, (std::vector<std::string>{"figures", "meta", "rows",
+                                               "schema_version"}));
+  BenchReport parsed;
+  ASSERT_TRUE(BenchReport::from_json(doc, &parsed, &err)) << err;
+  ASSERT_EQ(parsed.rows.size(), 1u);
+  EXPECT_EQ(parsed.rows[0].figure, "Fig H");
+  EXPECT_DOUBLE_EQ(parsed.rows[0].measured, 2.5);
 }
 
 }  // namespace

@@ -8,9 +8,12 @@
 // telemetry armed) keeps DIR/latest.json atomically up to date and
 // appends DIR/events.jsonl; gt_top only ever reads those files, so it can
 // run on a live directory without any coordination. Rendered panels: the
-// S/R/K/T/FWP/BWP stage shares (the paper's Fig 12 decomposition), the
-// per-worker busy/utilization table with load skew, queue depth and p99
-// batch latency, retry/degradation/OOM rates, and watchdog health. Every
+// S/R/K/T/FWP/BWP stage shares of the worker profiler's host wall-clock
+// busy time (the paper's Fig 12 decomposition applied to the simulator's
+// own threads; the modeled, virtual-time breakdown is the kernel ledger's
+// kernels.json, read by tools/gt_explain), the per-worker
+// busy/utilization table with load skew, queue depth and p99 batch
+// latency, retry/degradation/OOM rates, and watchdog health. Every
 // percentile shown is the snapshot histograms' bucket estimate
 // (obs::Histogram::quantile) and says so; service_cli --serve prints the
 // exact nearest-rank figures.
@@ -117,12 +120,13 @@ int render(const std::string& dir, bool clear_screen) {
       snap.number_at("batches"), snap.number_at("ts_ms"), state_color(state),
       state.c_str(), c_reset());
 
-  // Stage shares: the six fine-grained pipeline stages.
+  // Stage shares: host wall-clock busy time of the six fine-grained
+  // pipeline stages, from the worker profiler.
   static const char* kStages[] = {"sample",   "reindex", "lookup",
                                   "transfer", "fwp",     "bwp"};
   const JsonValue& stages = snap.at("stages");
   const JsonValue& shares = stages.at("shares");
-  std::printf("\nstage shares (S/R/K/T/FWP/BWP)\n");
+  std::printf("\nstage shares, host wall-clock busy (S/R/K/T/FWP/BWP)\n");
   char b[41];
   for (const char* name : kStages) {
     const double share = shares.number_at(name);
