@@ -51,7 +51,7 @@ int main() {
   table.print();
   std::printf("\n");
   bench::claim(
-      "preprocessing time lost to contention (paper: 47.4%% S-S + 39.0%% "
+      "preprocessing time lost to contention (paper: 47.4% S-S + 39.0% "
       "S-R of preprocessing)",
       0.40, mean(savings), " fraction saved by relaxing");
   return 0;

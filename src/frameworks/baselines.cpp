@@ -281,12 +281,13 @@ RunReport BaselineFramework::execute_prepared(
   // the parameters untouched (see detail::SgdStage).
   detail::SgdStage sgd(params, spec.learning_rate);
   try {
-    auto session = detail::open_session(pre, params, formats);
-    gpusim::Device& dev = session->dev;
+    detail::DeviceSession& session = device_session();
+    detail::open_session(session, pre, params, formats);
+    gpusim::Device& dev = session.dev;
     LayerIo io{dev, model, options_};
 
     std::vector<LayerCache> caches;
-    BufferId x = session->input;
+    BufferId x = session.input;
     dev.set_phase(gpusim::KernelPhase::kForward);
     {
       GT_LIVE_STAGE(kForward);
@@ -294,10 +295,10 @@ RunReport BaselineFramework::execute_prepared(
         const bool relu = model.relu_at(l);
         LayerCache cache =
             graph_compute
-                ? forward_graph(io, session->coo[l], x, session->w[l],
-                                session->b[l], relu, comb_first)
-                : forward_dl(io, session->csr[l], x, session->w[l],
-                             session->b[l], relu, comb_first,
+                ? forward_graph(io, session.coo[l], x, session.w[l],
+                                session.b[l], relu, comb_first)
+                : forward_dl(io, session.csr[l], x, session.w[l],
+                             session.b[l], relu, comb_first,
                              options_.compute ==
                                  BaselineOptions::Compute::kAdvisor);
         if (comb_first)
@@ -325,14 +326,14 @@ RunReport BaselineFramework::execute_prepared(
     {
       GT_LIVE_STAGE(kBackward);
       for (std::uint32_t li = L; li-- > 0;) {
-        const BufferId x_in = li == 0 ? session->input : caches[li - 1].out;
+        const BufferId x_in = li == 0 ? session.input : caches[li - 1].out;
         const bool relu = model.relu_at(li);
         const bool want_dx = li > 0;
         napa::DenseGrads grads =
             graph_compute
-                ? backward_graph(io, session->coo[li], x_in, session->w[li],
+                ? backward_graph(io, session.coo[li], x_in, session.w[li],
                                  caches[li], dy, relu, want_dx)
-                : backward_dl(io, session->csr[li], x_in, session->w[li],
+                : backward_dl(io, session.csr[li], x_in, session.w[li],
                               caches[li], dy, relu, want_dx);
         sgd.stage(dev, li, grads.dw, grads.db, ctx);
         dev.free(grads.dw);

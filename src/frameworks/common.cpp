@@ -147,38 +147,48 @@ void record_oom(RunReport& report, const gpusim::GpuOomError& e,
   obs::metrics().counter("frameworks.oom_batches").add(1);
 }
 
-std::unique_ptr<DeviceSession> open_session(
-    const pipeline::PreprocResult& pre, const models::ModelParams& params,
-    const sampling::ReindexFormats& formats, bool upload_input) {
+void open_session(DeviceSession& session, const pipeline::PreprocResult& pre,
+                  const models::ModelParams& params,
+                  const sampling::ReindexFormats& formats,
+                  bool upload_input) {
   fault::check(fault::Site::kTransfer);
   GT_LIVE_STAGE(kTransfer);
-  auto session = std::make_unique<DeviceSession>(eval_device_config());
-  gpusim::Device& dev = session->dev;
+  gpusim::Device& dev = session.dev;
+  dev.reset();
+  session.input = gpusim::kInvalidBuffer;
+  session.csr.clear();
+  session.csc.clear();
+  session.coo.clear();
+  session.w.clear();
+  session.b.clear();
 
   if (upload_input) {
-    session->input =
-        kernels::upload_matrix(dev, pre.embeddings, "input-table");
+    session.input = kernels::upload_matrix(dev, pre.embeddings, "input-table");
   }
-  session->input_table_bytes = pre.embeddings.bytes();
+  session.input_table_bytes = pre.embeddings.bytes();
 
   for (const auto& layer : pre.layers) {
     if (formats.csr)
-      session->csr.push_back(
-          kernels::upload_csr(dev, layer.csr, layer.n_dst));
+      session.csr.push_back(kernels::upload_csr(dev, layer.csr, layer.n_dst));
     if (formats.csc)
-      session->csc.push_back(
-          kernels::upload_csc(dev, layer.csr, layer.n_dst));
+      session.csc.push_back(kernels::upload_csc(dev, layer.csr, layer.n_dst));
     if (formats.coo)
-      session->coo.push_back(
-          kernels::upload_coo(dev, layer.coo, layer.n_dst));
+      session.coo.push_back(kernels::upload_coo(dev, layer.coo, layer.n_dst));
   }
   for (std::uint32_t l = 0; l < params.num_layers(); ++l) {
-    session->w.push_back(
+    session.w.push_back(
         kernels::upload_matrix(dev, params.w(l), "w" + std::to_string(l)));
-    session->b.push_back(
+    session.b.push_back(
         kernels::upload_matrix(dev, params.b(l), "b" + std::to_string(l)));
   }
   dev.clear_profile();  // kernel profile measures FWP/BWP only
+}
+
+std::unique_ptr<DeviceSession> open_session(
+    const pipeline::PreprocResult& pre, const models::ModelParams& params,
+    const sampling::ReindexFormats& formats, bool upload_input) {
+  auto session = std::make_unique<DeviceSession>(eval_device_config());
+  open_session(*session, pre, params, formats, upload_input);
   return session;
 }
 

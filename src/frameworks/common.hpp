@@ -25,7 +25,9 @@ void preprocess_into(const Dataset& data, const BatchSpec& spec,
                      const pipeline::PlanOptions& plan,
                      pipeline::BatchContext& ctx);
 
-/// Uploaded device state for one batch.
+/// A backend's simulated device and one batch's uploads to it. Each
+/// backend holds one (Framework::device_session) and every batch attempt
+/// resets and refills it through open_session.
 struct DeviceSession {
   gpusim::Device dev;
   gpusim::BufferId input = gpusim::kInvalidBuffer;  // layer-0 feature table
@@ -39,11 +41,18 @@ struct DeviceSession {
   explicit DeviceSession(gpusim::DeviceConfig cfg) : dev(std::move(cfg)) {}
 };
 
-/// Upload embeddings, structures, and parameters. Throws GpuOomError if the
+/// Reset `session`'s device (gpusim::Device::reset) and upload one batch's
+/// embeddings, structures, and parameters to it. Throws GpuOomError if the
 /// batch does not fit. The device profile is cleared afterwards so the
 /// kernel profile covers FWP/BWP only (Nsight-style measurement, §VI).
 /// `upload_input == false` skips uploading the layer-0 feature table
 /// (the caller assembles it, e.g. from an embedding cache).
+void open_session(DeviceSession& session, const pipeline::PreprocResult& pre,
+                  const models::ModelParams& params,
+                  const sampling::ReindexFormats& formats,
+                  bool upload_input = true);
+
+/// The same on a newly built session, for callers that hold none.
 std::unique_ptr<DeviceSession> open_session(
     const pipeline::PreprocResult& pre, const models::ModelParams& params,
     const sampling::ReindexFormats& formats, bool upload_input = true);

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "frameworks/baselines.hpp"
+#include "frameworks/common.hpp"
 #include "frameworks/graphtensor.hpp"
 #include "obs/live/worker_profiler.hpp"
 
@@ -32,6 +33,17 @@ ShardStrategy parse_shard_strategy(const std::string& name) {
   if (name == "tp") return ShardStrategy::kTensorParallel;
   throw std::invalid_argument("unknown shard strategy '" + name +
                               "' (expected range or tp)");
+}
+
+// Out of line: the session's type is complete only here.
+Framework::Framework() = default;
+Framework::~Framework() = default;
+
+detail::DeviceSession& Framework::device_session() {
+  if (!session_)
+    session_ =
+        std::make_unique<detail::DeviceSession>(detail::eval_device_config());
+  return *session_;
 }
 
 RunReport Framework::run_batch(const Dataset& data,

@@ -22,6 +22,10 @@
 
 namespace gt::frameworks {
 
+namespace detail {
+struct DeviceSession;
+}  // namespace detail
+
 /// How a multi-device run decomposes a batch (DESIGN.md §14). Numerics
 /// always execute the canonical single-device path; a strategy controls
 /// the *modeled* decomposition — which device each kernel's work is
@@ -155,7 +159,8 @@ struct RunReport {
 
 class Framework {
  public:
-  virtual ~Framework() = default;
+  Framework();
+  virtual ~Framework();
   virtual std::string name() const = 0;
 
   /// Opt the backend into modeled multi-device execution. Returns false
@@ -201,8 +206,16 @@ class Framework {
   RunReport run_batch(const Dataset& data, const models::GnnModelConfig& model,
                       models::ModelParams& params, const BatchSpec& spec);
 
+ protected:
+  /// The backend's one simulated device and its uploads, built on first
+  /// use. execute_prepared runs serially per backend, so every batch
+  /// attempt resets and refills this session (detail::open_session)
+  /// instead of building a device.
+  detail::DeviceSession& device_session();
+
  private:
   std::unique_ptr<pipeline::BatchContext> scratch_ctx_;
+  std::unique_ptr<detail::DeviceSession> session_;
 };
 
 /// Factory. Known names: "PyG", "PyG-MT", "DGL", "GNNAdvisor", "SALIENT",

@@ -203,9 +203,10 @@ RunReport GraphTensorFramework::execute_prepared(
   };
 
   try {
-    auto session = detail::open_session(pre, params, formats,
-                                        /*upload_input=*/!use_cache);
-    gpusim::Device& dev = session->dev;
+    detail::DeviceSession& session = device_session();
+    detail::open_session(session, pre, params, formats,
+                         /*upload_input=*/!use_cache);
+    gpusim::Device& dev = session.dev;
 
     if (use_cache) {
       // Embedding cache hierarchy (DESIGN.md §15): the static tier is
@@ -223,21 +224,28 @@ RunReport GraphTensorFramework::execute_prepared(
       // Every non-static row (dynamic/prefetch hits included, so numerics
       // stay bit-identical to an uncached gather) streams through the
       // pinned ring buffer: chunked K gathers overlapping chunked T
-      // uploads, priced through the same PCIe model as the schedule.
-      MatrixView gathered = ctx.arena().alloc(cache_look.gather_vids.size(),
-                                              data.spec.feature_dim);
+      // uploads, priced through the same PCIe model as the schedule. The
+      // rows are the ones prepare's K stage synthesized, each copied once
+      // into the device buffer, which is allocated and charged like an
+      // upload_matrix.
+      const std::size_t gather_n = cache_look.gather_rows.size();
+      gpusim::BufferId gather_buf = gpusim::kInvalidBuffer;
+      float* gathered = nullptr;
+      if (gather_n > 0) {
+        gather_buf = dev.alloc_f32(gather_n, data.spec.feature_dim,
+                                   "cache.gathered");
+        dev.charge_alloc_overhead("upload_matrix");
+        gathered = dev.f32(gather_buf).data();
+      }
       sampling::Transfer staging(dev, gpusim::PcieModel(plan.pcie),
                                  /*pinned=*/true);
-      ring_ov = hier.ring().gather_through(data.embeddings,
-                                           cache_look.gather_vids, gathered,
-                                           staging,
-                                           plan.cost.us_per_lookup_byte);
-      gpusim::BufferId gather_buf = gpusim::kInvalidBuffer;
-      if (!cache_look.gather_vids.empty())
-        gather_buf = kernels::upload_matrix(dev, gathered, "cache.gathered");
+      ring_ov = hier.ring().gather_prepared(
+          pre.embeddings, cache_look.gather_rows,
+          MatrixView(gathered, gather_n, data.spec.feature_dim), staging,
+          plan.cost.us_per_lookup_byte);
       const gpusim::BufferId static_buf = hier.bind_static(dev);
-      session->input = hier.assemble(dev, static_buf, cache_look, gather_buf,
-                                     pre.batch.vid_order.size());
+      session.input = hier.assemble(dev, static_buf, cache_look, gather_buf,
+                                    pre.batch.vid_order.size());
       if (gather_buf != gpusim::kInvalidBuffer) dev.free(gather_buf);
       if (static_buf != gpusim::kInvalidBuffer) dev.free(static_buf);
       dev.clear_profile();  // staging/assembly is not FWP/BWP work
@@ -247,7 +255,7 @@ RunReport GraphTensorFramework::execute_prepared(
 
     std::vector<dfg::LayerDeviceGraph> lg(L);
     for (std::uint32_t l = 0; l < L; ++l)
-      lg[l] = dfg::LayerDeviceGraph{session->csr[l], session->csc[l]};
+      lg[l] = dfg::LayerDeviceGraph{session.csr[l], session.csc[l]};
 
     auto dims_of = [&](std::uint32_t l) {
       return LayerDims{pre.batch.layer_vertices(l), pre.batch.layer_dst(l),
@@ -292,7 +300,7 @@ RunReport GraphTensorFramework::execute_prepared(
 
     // ---- FWP ----------------------------------------------------------------
     std::vector<dfg::LayerForward> fwds;
-    gpusim::BufferId x = session->input;
+    gpusim::BufferId x = session.input;
     dev.set_phase(gpusim::KernelPhase::kForward);
     {
       GT_LIVE_STAGE(kForward);
@@ -300,7 +308,7 @@ RunReport GraphTensorFramework::execute_prepared(
         const double before = dev.profile_latency_us();
         const std::size_t slice_lo = dev.profile().size();
         fwds.push_back(exec.forward(
-            lg[l], x, dfg::LayerParams{session->w[l], session->b[l]},
+            lg[l], x, dfg::LayerParams{session.w[l], session.b[l]},
             model.relu_at(l), orders[l]));
         if (sharded)
           slices.push_back({l, /*backward=*/false, slice_lo,
@@ -368,11 +376,11 @@ RunReport GraphTensorFramework::execute_prepared(
       GT_LIVE_STAGE(kBackward);
       for (std::uint32_t li = L; li-- > 0;) {
         const gpusim::BufferId x_in =
-            li == 0 ? session->input : fwds[li - 1].out;
+            li == 0 ? session.input : fwds[li - 1].out;
         const double before = dev.profile_latency_us();
         const std::size_t slice_lo = dev.profile().size();
         dfg::LayerBackward grads = exec.backward(
-            lg[li], x_in, dfg::LayerParams{session->w[li], session->b[li]},
+            lg[li], x_in, dfg::LayerParams{session.w[li], session.b[li]},
             model.relu_at(li), fwds[li], dy, /*want_dx=*/li > 0);
         if (sharded)
           slices.push_back({li, /*backward=*/true, slice_lo,

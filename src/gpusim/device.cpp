@@ -148,14 +148,10 @@ BufferId Device::alloc_f32(std::size_t rows, std::size_t cols,
   maybe_inject_alloc_fault(rows * cols * sizeof(float),
                            config_.memory_capacity_bytes, used_bytes_);
   track_alloc(rows * cols * sizeof(float));
-  Buffer b;
-  b.name = std::move(name);
-  b.rows = rows;
-  b.cols = cols;
+  Buffer& b = next_buffer(std::move(name), rows, cols);
   b.f32.assign(rows * cols, 0.0f);
-  b.live = true;
-  buffers_.push_back(std::move(b));
-  return static_cast<BufferId>(buffers_.size() - 1);
+  std::vector<std::uint32_t>().swap(b.u32);  // a kept slot's other type
+  return static_cast<BufferId>(buffer_count_ - 1);
 }
 
 BufferId Device::alloc_u32(std::size_t count, std::string name) {
@@ -164,14 +160,21 @@ BufferId Device::alloc_u32(std::size_t count, std::string name) {
   maybe_inject_alloc_fault(count * sizeof(std::uint32_t),
                            config_.memory_capacity_bytes, used_bytes_);
   track_alloc(count * sizeof(std::uint32_t));
-  Buffer b;
-  b.name = std::move(name);
-  b.rows = count;
-  b.cols = 1;
+  Buffer& b = next_buffer(std::move(name), count, 1);
   b.u32.assign(count, 0);
+  std::vector<float>().swap(b.f32);  // a kept slot's other type
+  return static_cast<BufferId>(buffer_count_ - 1);
+}
+
+Device::Buffer& Device::next_buffer(std::string name, std::size_t rows,
+                                    std::size_t cols) {
+  if (buffer_count_ == buffers_.size()) buffers_.emplace_back();
+  Buffer& b = buffers_[buffer_count_++];
+  b.name = std::move(name);
+  b.rows = rows;
+  b.cols = cols;
   b.live = true;
-  buffers_.push_back(std::move(b));
-  return static_cast<BufferId>(buffers_.size() - 1);
+  return b;
 }
 
 void Device::free(BufferId id) {
@@ -185,13 +188,13 @@ void Device::free(BufferId id) {
 }
 
 Device::Buffer& Device::live_buffer(BufferId id) {
-  if (id >= buffers_.size() || !buffers_[id].live)
+  if (id >= buffer_count_ || !buffers_[id].live)
     throw std::out_of_range("invalid or freed device buffer");
   return buffers_[id];
 }
 
 const Device::Buffer& Device::live_buffer(BufferId id) const {
-  if (id >= buffers_.size() || !buffers_[id].live)
+  if (id >= buffer_count_ || !buffers_[id].live)
     throw std::out_of_range("invalid or freed device buffer");
   return buffers_[id];
 }
@@ -219,6 +222,18 @@ MemoryStats Device::memory_stats() const noexcept {
 }
 
 void Device::reset_peak() noexcept { peak_bytes_ = used_bytes_; }
+
+void Device::reset() noexcept {
+  for (std::size_t i = 0; i < buffer_count_; ++i) buffers_[i].live = false;
+  buffer_count_ = 0;
+  used_bytes_ = 0;
+  peak_bytes_ = 0;
+  alloc_count_ = 0;
+  in_kernel_ = false;
+  profile_.clear();
+  launches_ = 0;
+  phase_ = KernelPhase::kOther;
+}
 
 KernelStats Device::run_kernel(const std::string& name,
                                KernelCategory category,

@@ -138,6 +138,16 @@ class Device {
   MemoryStats memory_stats() const noexcept;
   void reset_peak() noexcept;
 
+  /// Restore the state of a freshly constructed device: buffer ids restart
+  /// at 0, used/peak/alloc counts and kernel_launch_count() are 0, the
+  /// profile is empty, the phase is kOther and no kernel is running (a
+  /// kernel body that threw leaves the device inside its kernel until
+  /// here). Host-side capacity is kept: the SM caches' tables and pools,
+  /// and the storage of every buffer still live at reset — an allocation
+  /// that lands in such a slot reuses it and is still zero-filled. free()
+  /// keeps releasing storage, so buffers a batch frees are not retained.
+  void reset() noexcept;
+
   // -- Kernel execution -----------------------------------------------------
   /// Launch `num_blocks` thread blocks; `body` is invoked once per block
   /// with a BlockCtx bound to the block's SM (round-robin assignment,
@@ -174,9 +184,9 @@ class Device {
   void set_phase(KernelPhase phase) noexcept { phase_ = phase; }
   KernelPhase phase() const noexcept { return phase_; }
 
-  /// run_kernel calls over the device's lifetime — exactly the
-  /// gt::fault `gpusim.kernel` occurrence domain for the batch attempt
-  /// that owns this device (charge_kernel / charge_alloc_overhead price
+  /// run_kernel calls since construction or the last reset() — exactly
+  /// the gt::fault `gpusim.kernel` occurrence domain for the batch attempt
+  /// that reset this device (charge_kernel / charge_alloc_overhead price
   /// synthetic work and are not launch sites). Not reset by
   /// clear_profile(), so a fault `layer=` coordinate in
   /// [0, kernel_launch_count()) always lands on a real launch.
@@ -201,9 +211,13 @@ class Device {
   Buffer& live_buffer(BufferId id);
   const Buffer& live_buffer(BufferId id) const;
   void track_alloc(std::size_t bytes);
+  /// The slot for the next buffer id, reused when a slot from before the
+  /// last reset() is left.
+  Buffer& next_buffer(std::string name, std::size_t rows, std::size_t cols);
 
   DeviceConfig config_;
-  std::vector<Buffer> buffers_;
+  std::vector<Buffer> buffers_;  // ids [0, buffer_count_) are allocated
+  std::size_t buffer_count_ = 0;
   std::size_t used_bytes_ = 0;
   std::size_t peak_bytes_ = 0;
   std::size_t alloc_count_ = 0;

@@ -209,12 +209,7 @@ gpusim::BufferId CacheHierarchy::bind_static(gpusim::Device& dev) const {
   // Residency is dataset-lifetime: the selection and upload were paid once
   // at construction (host mirror), so re-binding to this batch's device
   // charges no alloc overhead and no transfer — only the memory footprint.
-  const gpusim::BufferId buf =
-      dev.alloc_f32(static_order_.size(), dim_, "cache.static");
-  auto data = dev.f32(buf);
-  std::copy(static_mirror_.data().begin(), static_mirror_.data().end(),
-            data.begin());
-  return buf;
+  return dev.alloc_f32(static_order_.size(), dim_, "cache.static");
 }
 
 gpusim::BufferId CacheHierarchy::assemble(gpusim::Device& dev,
@@ -226,8 +221,7 @@ gpusim::BufferId CacheHierarchy::assemble(gpusim::Device& dev,
       dev.alloc_f32(total_rows, dim_, "cache.assembled");
   dev.charge_alloc_overhead("cache.assembled");
   auto ov = dev.f32(out);
-  std::span<const float> sv;
-  if (static_buf != gpusim::kInvalidBuffer) sv = dev.f32(static_buf);
+  std::span<const float> sv = static_mirror_.data();
   std::span<const float> gv;
   if (gather_buffer != gpusim::kInvalidBuffer) gv = dev.f32(gather_buffer);
 

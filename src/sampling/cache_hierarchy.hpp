@@ -6,8 +6,9 @@
 //
 //   * a **static tier**: the highest-out-degree vertices, selected once
 //     (same ordering as EmbeddingCache so hit rates are comparable) and
-//     mirrored host-side; per-batch devices re-bind the resident rows
-//     without re-paying selection or upload;
+//     mirrored host-side; each batch re-binds the resident tier's
+//     footprint on the backend's device without re-paying selection or
+//     upload;
 //   * a **dynamic tier**: LRU or LFU over recently-used rows, with
 //     replacement driven by *batch-index virtual time* and total-order
 //     tie-breaks, so eviction decisions — and therefore the priced K/T
@@ -149,15 +150,18 @@ class CacheHierarchy {
   /// Serial execute path only; exactly once per reported batch.
   void commit(const Lookup& look, double compute_us);
 
-  /// Re-bind the statically pinned rows to a fresh per-batch device: one
-  /// resident buffer, no selection and no alloc-overhead charge — the
-  /// upload happened once at hierarchy construction (modeled by the
-  /// host-side mirror). Returns kInvalidBuffer when the tier is empty.
+  /// Re-bind the statically pinned rows to this batch's device: one
+  /// resident buffer of the tier's footprint, no selection, no copy and no
+  /// alloc-overhead charge — the upload happened once at hierarchy
+  /// construction (modeled by the host-side mirror, which assemble()
+  /// reads). Returns kInvalidBuffer when the tier is empty.
   gpusim::BufferId bind_static(gpusim::Device& dev) const;
 
   /// Assemble the layer-0 input table (total_rows x dim) from the resident
   /// static rows plus the freshly gathered rows in `gather_buffer`
-  /// (lookup order). Mirrors EmbeddingCache::assemble.
+  /// (lookup order). Static rows are copied from the host mirror; their
+  /// modeled loads hit `static_buf`, the buffer bind_static returned.
+  /// Mirrors EmbeddingCache::assemble.
   gpusim::BufferId assemble(gpusim::Device& dev, gpusim::BufferId static_buf,
                             const Lookup& look,
                             gpusim::BufferId gather_buffer,
@@ -171,7 +175,7 @@ class CacheHierarchy {
 
   const CacheConfig& config() const noexcept { return config_; }
   const CacheStats& stats() const noexcept { return stats_; }
-  PinnedRingBuffer& ring() noexcept { return ring_; }
+  const PinnedRingBuffer& ring() const noexcept { return ring_; }
   std::size_t dim() const noexcept { return dim_; }
   std::size_t row_bytes() const noexcept { return row_bytes_; }
   std::size_t static_capacity_rows() const noexcept {

@@ -1,7 +1,8 @@
 #include "sampling/ring_buffer.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <vector>
 
 namespace gt::sampling {
 
@@ -9,15 +10,42 @@ PinnedRingBuffer::PinnedRingBuffer(std::size_t dim, RingConfig config)
     : config_(config), dim_(dim) {
   config_.slots = std::max<std::size_t>(config_.slots, 1);
   config_.chunk_rows = std::max<std::size_t>(config_.chunk_rows, 1);
-  staging_ = Matrix(config_.slots * config_.chunk_rows, dim_);
 }
 
 PinnedRingBuffer::Overlap PinnedRingBuffer::gather_through(
     const EmbeddingTable& table, std::span<const Vid> vids, MatrixView out,
-    const Transfer& transfer, double us_per_gather_byte) {
-  assert(out.rows() == vids.size() && out.cols() == dim_);
+    const Transfer& transfer, double us_per_gather_byte) const {
+  if (out.rows() != vids.size() || out.cols() != dim_)
+    throw std::invalid_argument("PinnedRingBuffer::gather_through: shape "
+                                "mismatch");
+  for (std::size_t i = 0; i < vids.size(); ++i)
+    table.gather_row(vids[i], out.row(i));
+  return price(vids.size(), transfer, us_per_gather_byte);
+}
+
+PinnedRingBuffer::Overlap PinnedRingBuffer::gather_prepared(
+    ConstMatrixView prepared, std::span<const std::uint32_t> rows,
+    MatrixView out, const Transfer& transfer,
+    double us_per_gather_byte) const {
+  if (out.rows() != rows.size() || out.cols() != dim_ ||
+      prepared.cols() != dim_)
+    throw std::invalid_argument("PinnedRingBuffer::gather_prepared: shape "
+                                "mismatch");
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i] >= prepared.rows())
+      throw std::out_of_range("PinnedRingBuffer::gather_prepared: row out "
+                              "of range");
+    const auto src = prepared.row(rows[i]);
+    std::copy(src.begin(), src.end(), out.row(i).begin());
+  }
+  return price(rows.size(), transfer, us_per_gather_byte);
+}
+
+PinnedRingBuffer::Overlap PinnedRingBuffer::price(
+    std::size_t rows, const Transfer& transfer,
+    double us_per_gather_byte) const {
   Overlap ov;
-  if (vids.empty()) return ov;
+  if (rows == 0) return ov;
 
   const std::size_t row_bytes = dim_ * sizeof(float);
   // Per-slot drain time: the upload that must finish before the slot can
@@ -26,25 +54,13 @@ PinnedRingBuffer::Overlap PinnedRingBuffer::gather_through(
   double gather_done = 0.0;
   double pcie_free = 0.0;
 
-  for (std::size_t begin = 0; begin < vids.size();
-       begin += config_.chunk_rows) {
-    const std::size_t end =
-        std::min(begin + config_.chunk_rows, vids.size());
-    const std::size_t rows = end - begin;
+  for (std::size_t begin = 0; begin < rows; begin += config_.chunk_rows) {
+    const std::size_t chunk_rows = std::min(config_.chunk_rows, rows - begin);
     const std::size_t slot = ov.chunks % config_.slots;
 
-    // Real data path: stage the chunk's rows in the pinned slot, then
-    // copy them out at their destination offsets — byte-identical to a
-    // flat gather.
-    for (std::size_t r = 0; r < rows; ++r) {
-      auto staged = staging_.row(slot * config_.chunk_rows + r);
-      table.gather_row(vids[begin + r], staged);
-      std::copy(staged.begin(), staged.end(), out.row(begin + r).begin());
-    }
-
-    // Pricing: gather waits for the slot to drain, upload waits for the
-    // gather and for the PCIe lane.
-    const std::size_t chunk_bytes = rows * row_bytes;
+    // Gather waits for the slot to drain, upload waits for the gather and
+    // for the PCIe lane.
+    const std::size_t chunk_bytes = chunk_rows * row_bytes;
     const double g_us = static_cast<double>(chunk_bytes) * us_per_gather_byte;
     const double t_us = transfer.transfer_us(chunk_bytes);
     const double g_start = std::max(gather_done, slot_free[slot]);

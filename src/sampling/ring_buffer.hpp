@@ -3,25 +3,27 @@
 // A flat miss-gather serializes the K stage (scan the host embedding
 // table) against the T stage (one big PCIe upload). lookup.hpp already
 // anticipates the pipelined alternative — "each ready chunk is transferred
-// while the next is gathered" — and this type realizes it: a small set of
-// pinned staging slots is filled chunk by chunk, each chunk's upload
-// priced through the same Transfer/PcieModel path the schedule uses, while
-// the *next* chunk's gather proceeds concurrently. The slot count bounds
-// the pipeline depth: the gather for chunk c+slots must wait until chunk
-// c's transfer has drained its slot.
+// while the next is gathered" — and this type prices it: a small set of
+// pinned slots is filled chunk by chunk, each chunk's upload priced
+// through the same Transfer/PcieModel path the schedule uses, while the
+// *next* chunk's gather proceeds concurrently. The slot count bounds the
+// pipeline depth: the gather for chunk c+slots must wait until chunk c's
+// transfer has drained its slot.
 //
-// Numerics: rows pass through the staging slots byte-for-byte, so the
-// output is bit-identical to a flat gather; only the pricing (the Overlap
-// result) reflects the pipelining.
+// Numerics: the slots are modeled, not materialized. Each row is written
+// once, straight to its destination, so the output is bit-identical to a
+// flat gather; only the pricing (the Overlap result) reflects the
+// pipelining. Two front ends feed one pricing loop: gather_through
+// synthesizes rows from the embedding table, gather_prepared copies rows
+// the K stage already synthesized into a prepared batch.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
-#include <vector>
 
 #include "datasets/embedding.hpp"
 #include "sampling/transfer.hpp"
-#include "tensor/matrix.hpp"
 #include "tensor/view.hpp"
 
 namespace gt::sampling {
@@ -48,26 +50,40 @@ class PinnedRingBuffer {
     }
   };
 
-  /// Gather every row of `vids` through the staging slots into `out`
-  /// (row i <- vids[i]; `out` must be vids.size() x dim) and price the
-  /// chunk pipeline: chunk c's upload overlaps chunk c+1's gather; one
+  /// Gather every row of `vids` into `out` (row i <- vids[i]) and price
+  /// the chunk pipeline: chunk c's upload overlaps chunk c+1's gather; one
   /// PCIe link serializes uploads; slot reuse stalls the gather of chunk
   /// c+slots behind chunk c's upload. `us_per_gather_byte` is the host
   /// gather cost (the schedule's K rate); uploads are priced by
-  /// `transfer.transfer_us`.
+  /// `transfer.transfer_us`. Throws std::invalid_argument unless `out` is
+  /// vids.size() x dim(), and std::out_of_range for a vid outside the
+  /// table.
   Overlap gather_through(const EmbeddingTable& table,
                          std::span<const Vid> vids, MatrixView out,
                          const Transfer& transfer,
-                         double us_per_gather_byte);
+                         double us_per_gather_byte) const;
+
+  /// Prepared-row front end: row i of `out` <- prepared.row(rows[i]), the
+  /// rows a batch's K stage already synthesized, each copied once. Priced
+  /// exactly like gather_through over rows.size() rows. Throws
+  /// std::invalid_argument unless `out` is rows.size() x dim() and
+  /// `prepared` has dim() columns, and std::out_of_range for a row index
+  /// past prepared.rows().
+  Overlap gather_prepared(ConstMatrixView prepared,
+                          std::span<const std::uint32_t> rows,
+                          MatrixView out, const Transfer& transfer,
+                          double us_per_gather_byte) const;
 
   const RingConfig& config() const noexcept { return config_; }
   std::size_t dim() const noexcept { return dim_; }
-  std::size_t staging_bytes() const noexcept { return staging_.bytes(); }
 
  private:
+  /// The pricing loop both front ends share: `rows` rows in chunks.
+  Overlap price(std::size_t rows, const Transfer& transfer,
+                double us_per_gather_byte) const;
+
   RingConfig config_;
   std::size_t dim_ = 0;
-  Matrix staging_;  // slots * chunk_rows x dim, reused across batches
 };
 
 }  // namespace gt::sampling

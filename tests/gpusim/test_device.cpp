@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace gt::gpusim {
 namespace {
 
@@ -202,6 +205,64 @@ TEST(Device, ResetPeak) {
   EXPECT_GT(dev.memory_stats().peak_bytes, 0u);
   dev.reset_peak();
   EXPECT_EQ(dev.memory_stats().peak_bytes, 0u);
+}
+
+void expect_same_memory(const MemoryStats& a, const MemoryStats& b) {
+  EXPECT_EQ(a.current_bytes, b.current_bytes);
+  EXPECT_EQ(a.peak_bytes, b.peak_bytes);
+  EXPECT_EQ(a.capacity_bytes, b.capacity_bytes);
+  EXPECT_EQ(a.alloc_count, b.alloc_count);
+}
+
+// A backend keeps one device and resets it at every batch attempt, so a
+// reset device must be indistinguishable from a fresh one — including
+// after an attempt whose kernel body threw and left the device inside its
+// kernel.
+TEST(Device, ResetAfterAThrowingKernelMatchesAFreshDevice) {
+  Device dev(small_config());
+  const BufferId kept = dev.alloc_f32(8, 4, "kept");
+  std::fill(dev.f32(kept).begin(), dev.f32(kept).end(), 7.0f);
+  const BufferId freed = dev.alloc_u32(16, "freed");
+  dev.free(freed);
+  dev.set_phase(KernelPhase::kBackward);
+  dev.run_kernel("ok", KernelCategory::kOther, 4,
+                 [](BlockCtx& ctx) { ctx.flops(1); });
+  EXPECT_THROW(dev.run_kernel("boom", KernelCategory::kOther, 8,
+                              [](BlockCtx& ctx) {
+                                if (ctx.block_id() == 3)
+                                  throw std::runtime_error("boom");
+                              }),
+               std::runtime_error);
+  // The throw left the device inside its kernel.
+  EXPECT_THROW(dev.alloc_f32(1, 1, "x"), std::logic_error);
+
+  dev.reset();
+  const Device fresh(small_config());
+  EXPECT_TRUE(dev.profile().empty());
+  EXPECT_EQ(dev.kernel_launch_count(), 0u);
+  EXPECT_EQ(dev.phase(), KernelPhase::kOther);
+  expect_same_memory(dev.memory_stats(), fresh.memory_stats());
+  EXPECT_THROW(dev.f32(kept), std::out_of_range);
+
+  // Ids restart at 0, and a slot kept from before the reset comes back
+  // zero-filled in the new shape.
+  const BufferId a = dev.alloc_f32(4, 4, "a");
+  EXPECT_EQ(a, 0u);
+  for (float v : dev.f32(a)) EXPECT_EQ(v, 0.0f);
+  EXPECT_EQ(dev.rows(a), 4u);
+  const BufferId b = dev.alloc_u32(5, "b");
+  EXPECT_EQ(b, 1u);
+  EXPECT_EQ(dev.buffer_bytes(b), 5 * sizeof(std::uint32_t));
+  for (std::uint32_t v : dev.u32(b)) EXPECT_EQ(v, 0u);
+  EXPECT_EQ(dev.alloc_f32(2, 2, "c"), 2u);
+  dev.run_kernel("k", KernelCategory::kOther, 2,
+                 [](BlockCtx& ctx) { ctx.flops(2); });
+  EXPECT_EQ(dev.kernel_launch_count(), 1u);
+  ASSERT_EQ(dev.profile().size(), 1u);
+  EXPECT_EQ(dev.profile()[0].phase, KernelPhase::kOther);
+  EXPECT_EQ(dev.memory_stats().alloc_count, 3u);
+  EXPECT_EQ(dev.memory_stats().current_bytes,
+            (16 + 4) * sizeof(float) + 5 * sizeof(std::uint32_t));
 }
 
 }  // namespace

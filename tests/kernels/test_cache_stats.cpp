@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "kernel_test_util.hpp"
 #include "kernels/dl_approach.hpp"
@@ -67,67 +68,84 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
-TEST(CacheStatsGolden, NapaForwardAndBackward) {
-  LayerProblem p = problem();
+/// Run `sequence` (uploads, clear_profile, kernels; returns the buffer ids
+/// it allocated) on one device, reset the device and run it again: both
+/// runs must give the golden digest, and the reset run the same buffer ids
+/// and memory stats as the first — a reset device replays like a fresh one.
+template <class Sequence>
+void expect_golden_across_reset(const char* golden, Sequence sequence) {
   gpusim::Device dev(tight_config());
-  DeviceCsr dcsr = upload_csr(dev, p.csr, p.n_dst);
-  DeviceCsc dcsc = upload_csc(dev, p.csr, p.n_dst);
-  auto x = upload_matrix(dev, p.x, "x");
-  auto w = upload_matrix(dev, p.w, "w");
-  auto b = upload_matrix(dev, p.b, "b");
-  dev.clear_profile();
+  const std::vector<gpusim::BufferId> ids = sequence(dev);
+  const gpusim::MemoryStats mem = dev.memory_stats();
+  EXPECT_GT(gpusim::accumulate(dev.profile()).cache_hit_bytes, 0u);
+  EXPECT_EQ(hex(profile_digest(dev.profile())), golden);
 
-  const auto g = EdgeWeightMode::kDot;
-  const auto f = AggMode::kMean;
-  auto weights = napa::neighbor_apply(dev, dcsr, x, g);
-  auto aggr = napa::pull(dev, dcsr, x, weights, f, g);
-  gpusim::BufferId pre = gpusim::kInvalidBuffer;
-  auto y = napa::apply_dense(dev, aggr, w, b, /*relu=*/true, &pre);
-  auto dense = napa::apply_dense_backward(dev, aggr, w, pre, y, true);
-  auto dx = napa::pull_backward(dev, dcsr, dcsc, x, weights, dense.dx, f, g);
-  napa::neighbor_apply_backward(dev, dcsr, x, dense.dx, dx, f, g);
+  dev.reset();
+  EXPECT_EQ(sequence(dev), ids);
+  EXPECT_EQ(hex(profile_digest(dev.profile())), golden);
+  const gpusim::MemoryStats again = dev.memory_stats();
+  EXPECT_EQ(again.current_bytes, mem.current_bytes);
+  EXPECT_EQ(again.peak_bytes, mem.peak_bytes);
+  EXPECT_EQ(again.alloc_count, mem.alloc_count);
+}
 
-  const gpusim::KernelStats total = gpusim::accumulate(dev.profile());
-  EXPECT_GT(total.cache_hit_bytes, 0u);
-  EXPECT_EQ(hex(profile_digest(dev.profile())), "0x9369bd9a5d1cd714");
+TEST(CacheStatsGolden, NapaForwardAndBackward) {
+  const LayerProblem p = problem();
+  expect_golden_across_reset("0x9369bd9a5d1cd714", [&](gpusim::Device& dev) {
+    DeviceCsr dcsr = upload_csr(dev, p.csr, p.n_dst);
+    DeviceCsc dcsc = upload_csc(dev, p.csr, p.n_dst);
+    auto x = upload_matrix(dev, p.x, "x");
+    auto w = upload_matrix(dev, p.w, "w");
+    auto b = upload_matrix(dev, p.b, "b");
+    dev.clear_profile();
+
+    const auto g = EdgeWeightMode::kDot;
+    const auto f = AggMode::kMean;
+    auto weights = napa::neighbor_apply(dev, dcsr, x, g);
+    auto aggr = napa::pull(dev, dcsr, x, weights, f, g);
+    gpusim::BufferId pre = gpusim::kInvalidBuffer;
+    auto y = napa::apply_dense(dev, aggr, w, b, /*relu=*/true, &pre);
+    auto dense = napa::apply_dense_backward(dev, aggr, w, pre, y, true);
+    auto dx = napa::pull_backward(dev, dcsr, dcsc, x, weights, dense.dx, f, g);
+    napa::neighbor_apply_backward(dev, dcsr, x, dense.dx, dx, f, g);
+    return std::vector<gpusim::BufferId>{
+        x, w, b, weights, aggr, pre, y, dense.dw, dense.db, dense.dx, dx};
+  });
 }
 
 TEST(CacheStatsGolden, GraphApproachEdgewise) {
-  LayerProblem p = problem();
-  gpusim::Device dev(tight_config());
-  DeviceCoo coo = upload_coo(dev, p.coo, p.n_dst);
-  auto x = upload_matrix(dev, p.x, "x");
-  dev.clear_profile();
+  const LayerProblem p = problem();
+  expect_golden_across_reset("0x0f25f9f4b21f33af", [&](gpusim::Device& dev) {
+    DeviceCoo coo = upload_coo(dev, p.coo, p.n_dst);
+    auto x = upload_matrix(dev, p.x, "x");
+    dev.clear_profile();
 
-  const auto g = EdgeWeightMode::kElemProduct;
-  const auto f = AggMode::kSum;
-  DeviceCsr csr = graphsim::translate_to_csr(dev, coo);
-  auto weights = graphsim::sddmm_edgewise(dev, coo, x, g);
-  auto out = graphsim::spmm_edgewise(dev, csr, x, weights, f, g);
-  graphsim::backward_edgewise(dev, coo, csr, x, weights, out, f, g);
-
-  const gpusim::KernelStats total = gpusim::accumulate(dev.profile());
-  EXPECT_GT(total.cache_hit_bytes, 0u);
-  EXPECT_EQ(hex(profile_digest(dev.profile())), "0x0f25f9f4b21f33af");
+    const auto g = EdgeWeightMode::kElemProduct;
+    const auto f = AggMode::kSum;
+    DeviceCsr csr = graphsim::translate_to_csr(dev, coo);
+    auto weights = graphsim::sddmm_edgewise(dev, coo, x, g);
+    auto out = graphsim::spmm_edgewise(dev, csr, x, weights, f, g);
+    auto dx = graphsim::backward_edgewise(dev, coo, csr, x, weights, out, f, g);
+    return std::vector<gpusim::BufferId>{x, weights, out, dx};
+  });
 }
 
 TEST(CacheStatsGolden, DlApproachDense) {
-  LayerProblem p = problem();
-  gpusim::Device dev(tight_config());
-  DeviceCsr dcsr = upload_csr(dev, p.csr, p.n_dst);
-  auto x = upload_matrix(dev, p.x, "x");
-  dev.clear_profile();
+  const LayerProblem p = problem();
+  expect_golden_across_reset("0x953d61a7d02d9138", [&](gpusim::Device& dev) {
+    DeviceCsr dcsr = upload_csr(dev, p.csr, p.n_dst);
+    auto x = upload_matrix(dev, p.x, "x");
+    dev.clear_profile();
 
-  const auto g = EdgeWeightMode::kDot;
-  const auto f = AggMode::kMean;
-  gpusim::BufferId weights = gpusim::kInvalidBuffer;
-  auto out = dl::forward_aggregate(dev, dcsr, x, f, g, &weights);
-  dl::backward_aggregate(dev, dcsr, x, weights, out, f, g);
-  dl::aggregate_neighbor_groups(dev, dcsr, x, AggMode::kSum, 4);
-
-  const gpusim::KernelStats total = gpusim::accumulate(dev.profile());
-  EXPECT_GT(total.cache_hit_bytes, 0u);
-  EXPECT_EQ(hex(profile_digest(dev.profile())), "0x953d61a7d02d9138");
+    const auto g = EdgeWeightMode::kDot;
+    const auto f = AggMode::kMean;
+    gpusim::BufferId weights = gpusim::kInvalidBuffer;
+    auto out = dl::forward_aggregate(dev, dcsr, x, f, g, &weights);
+    auto dx = dl::backward_aggregate(dev, dcsr, x, weights, out, f, g);
+    auto groups =
+        dl::aggregate_neighbor_groups(dev, dcsr, x, AggMode::kSum, 4);
+    return std::vector<gpusim::BufferId>{x, weights, out, dx, groups};
+  });
 }
 
 }  // namespace

@@ -280,21 +280,42 @@ TEST(CacheHierarchy, AssembleMatchesFlatGather) {
   CacheConfig cfg;
   cfg.budget_bytes = 1 << 20;
   cfg.policy = CachePolicy::kTiered;
+  cfg.ring.chunk_rows = 64;  // several chunks, so slot reuse is priced
   CacheHierarchy hier(data.csr, data.embeddings, cfg);
   auto look = hier.lookup(pre.batch.vid_order, 1, false);
   ASSERT_GT(look.static_rows.size(), 0u);
-  ASSERT_GT(look.gather_rows.size(), 0u);
+  ASSERT_GT(look.gather_rows.size(), cfg.ring.chunk_rows);
 
   gpusim::Device dev;
   Matrix gathered(look.gather_vids.size(), data.spec.feature_dim);
   Transfer staging(dev, gpusim::PcieModel(cfg.pcie), /*pinned=*/true);
-  hier.ring().gather_through(data.embeddings, look.gather_vids, gathered,
-                             staging, 6.0e-3);
+  const auto table_ov = hier.ring().gather_through(
+      data.embeddings, look.gather_vids, gathered, staging, 6.0e-3);
   auto gather_buf = kernels::upload_matrix(dev, gathered, "gathered");
   auto static_buf = hier.bind_static(dev);
   auto assembled = hier.assemble(dev, static_buf, look, gather_buf,
                                  pre.batch.vid_order.size());
   EXPECT_EQ(kernels::download_matrix(dev, assembled), pre.embeddings);
+
+  // The prepared-row front end copies the same rows out of the batch's
+  // prepared table straight into a device buffer, priced identically.
+  const std::size_t n = look.gather_rows.size();
+  auto prepared_buf =
+      dev.alloc_f32(n, data.spec.feature_dim, "prepared-gathered");
+  const auto prepared_ov = hier.ring().gather_prepared(
+      pre.embeddings, look.gather_rows,
+      MatrixView(dev.f32(prepared_buf).data(), n, data.spec.feature_dim),
+      staging, 6.0e-3);
+  EXPECT_GT(prepared_ov.chunks, 1u);
+  EXPECT_EQ(prepared_ov.chunks, table_ov.chunks);
+  EXPECT_EQ(prepared_ov.bytes, table_ov.bytes);
+  EXPECT_EQ(prepared_ov.gather_us, table_ov.gather_us);
+  EXPECT_EQ(prepared_ov.transfer_us, table_ov.transfer_us);
+  EXPECT_EQ(prepared_ov.critical_us, table_ov.critical_us);
+  EXPECT_EQ(kernels::download_matrix(dev, prepared_buf), gathered);
+  auto from_prepared = hier.assemble(dev, static_buf, look, prepared_buf,
+                                     pre.batch.vid_order.size());
+  EXPECT_EQ(kernels::download_matrix(dev, from_prepared), pre.embeddings);
 }
 
 TEST(PinnedRingBuffer, SingleSlotSerializesFully) {
@@ -330,6 +351,60 @@ TEST(PinnedRingBuffer, MultiSlotOverlapsAndPreservesBytes) {
   EXPECT_GE(ov.critical_us, ov.transfer_us);
   EXPECT_GT(ov.overlapped_us(), 0.0);
   EXPECT_EQ(out, env.table.gather(vids));
+}
+
+// The shape checks hold in every build type: a wrong `out` is refused
+// instead of being written out of bounds.
+TEST(PinnedRingBuffer, GatherThroughRejectsAMisshapenOutput) {
+  TinyEnv env;
+  gpusim::Device dev;
+  const PinnedRingBuffer ring(TinyEnv::kDim, RingConfig{2, 2});
+  Transfer transfer(dev, gpusim::PcieModel(gpusim::PcieParams{}),
+                    /*pinned=*/true);
+  std::vector<Vid> vids{0, 1, 2};
+  Matrix short_out(vids.size() - 1, TinyEnv::kDim);
+  EXPECT_THROW(ring.gather_through(env.table, vids, short_out, transfer, 1.0),
+               std::invalid_argument);
+  Matrix wide_out(vids.size(), TinyEnv::kDim + 1);
+  EXPECT_THROW(ring.gather_through(env.table, vids, wide_out, transfer, 1.0),
+               std::invalid_argument);
+}
+
+TEST(PinnedRingBuffer, GatherPreparedRejectsMisshapenMatrices) {
+  TinyEnv env;
+  gpusim::Device dev;
+  const PinnedRingBuffer ring(TinyEnv::kDim, RingConfig{2, 2});
+  Transfer transfer(dev, gpusim::PcieModel(gpusim::PcieParams{}),
+                    /*pinned=*/true);
+  const Matrix prepared = env.table.gather(std::vector<Vid>{4, 5, 6});
+  std::vector<std::uint32_t> rows{2, 0};
+  Matrix short_out(rows.size() - 1, TinyEnv::kDim);
+  EXPECT_THROW(ring.gather_prepared(prepared, rows, short_out, transfer, 1.0),
+               std::invalid_argument);
+  Matrix wide_out(rows.size(), TinyEnv::kDim + 1);
+  EXPECT_THROW(ring.gather_prepared(prepared, rows, wide_out, transfer, 1.0),
+               std::invalid_argument);
+  const Matrix narrow_prepared(3, TinyEnv::kDim - 1);
+  Matrix out(rows.size(), TinyEnv::kDim);
+  EXPECT_THROW(
+      ring.gather_prepared(narrow_prepared, rows, out, transfer, 1.0),
+      std::invalid_argument);
+}
+
+TEST(PinnedRingBuffer, GatherPreparedRejectsARowPastThePreparedTable) {
+  TinyEnv env;
+  gpusim::Device dev;
+  const PinnedRingBuffer ring(TinyEnv::kDim, RingConfig{2, 2});
+  Transfer transfer(dev, gpusim::PcieModel(gpusim::PcieParams{}),
+                    /*pinned=*/true);
+  const Matrix prepared = env.table.gather(std::vector<Vid>{4, 5, 6});
+  std::vector<std::uint32_t> rows{2, 3};
+  Matrix out(rows.size(), TinyEnv::kDim);
+  EXPECT_THROW(ring.gather_prepared(prepared, rows, out, transfer, 1.0),
+               std::out_of_range);
+  rows = {2, 0};
+  ring.gather_prepared(prepared, rows, out, transfer, 1.0);
+  EXPECT_EQ(out, env.table.gather(std::vector<Vid>{6, 4}));
 }
 
 }  // namespace
