@@ -1,5 +1,7 @@
 #include "gpusim/cache.hpp"
 
+#include <stdexcept>
+
 namespace gt::gpusim {
 
 namespace {
@@ -19,7 +21,56 @@ std::size_t initial_slots(std::size_t capacity_bytes) {
 SmCache::SmCache(std::size_t capacity_bytes)
     : capacity_bytes_(capacity_bytes),
       slots_(initial_slots(capacity_bytes)),
-      mask_(slots_.size() - 1) {}
+      mask_(slots_.size() - 1) {
+  if (capacity_bytes > 0xffffffffu)
+    throw std::invalid_argument("SmCache: capacity must fit in 32 bits");
+}
+
+void SmCache::access_rows(std::uint32_t buffer, std::uint32_t first,
+                          std::uint32_t count, std::size_t bytes) {
+  if (count != 0 && run_.count == count && run_.buffer == buffer &&
+      run_.first == first && run_.bytes == bytes) {
+    // Every line is resident, so each access would hit and move its line to
+    // the front: the block ends up first, newest line first, and every
+    // other line keeps its relative order.
+    hit_bytes_ += count * bytes;
+    ++spliced_runs_;
+    touch(run_.newest, run_.oldest);
+    return;
+  }
+  drop_run();
+  for (std::uint32_t i = 0; i < count; ++i)
+    access(CacheKey{buffer, first + i, 0}, bytes);
+  track_run(buffer, first, count, bytes);
+}
+
+void SmCache::drop_run() noexcept {
+  run_.count = 0;
+  if (++run_id_ == 0) {
+    // Wrapped: stale stamps could collide with new ones, as with epoch_.
+    for (Node& n : nodes_) n.run = 0;
+    run_id_ = 1;
+  }
+}
+
+void SmCache::track_run(std::uint32_t buffer, std::uint32_t first,
+                        std::uint32_t count, std::size_t bytes) noexcept {
+  // The run is trackable iff its lines are the `count` most recent, newest
+  // first. That fails when the run is wider than the capacity, when a line
+  // is oversized (streamed), and when a line resident at another width
+  // pushed earlier run lines out.
+  std::uint32_t n = head_;
+  std::uint32_t oldest = kNil;
+  for (std::uint32_t i = count; i-- > 0; n = nodes_[n].next) {
+    if (n == kNil || nodes_[n].key != CacheKey{buffer, first + i, 0}) {
+      drop_run();  // forget the stamps written so far
+      return;
+    }
+    nodes_[n].run = run_id_;
+    oldest = n;
+  }
+  run_ = Run{buffer, first, count, bytes, head_, oldest};
+}
 
 bool SmCache::miss(const CacheKey& key, std::uint32_t hash, std::size_t bytes,
                    std::size_t slot) {
@@ -46,8 +97,9 @@ bool SmCache::miss(const CacheKey& key, std::uint32_t hash, std::size_t bytes,
     n = static_cast<std::uint32_t>(nodes_.size());
     nodes_.emplace_back();
   }
-  nodes_[n] = Node{key, hash, bytes, kNil, kNil};
-  push_front(n);
+  nodes_[n] =
+      Node{key, hash, static_cast<std::uint32_t>(bytes), 0, kNil, kNil};
+  push_front(n, n);
   slots_[slot] = Slot{epoch_, n};
   ++lines_;
   resident_bytes_ += bytes;
@@ -55,6 +107,7 @@ bool SmCache::miss(const CacheKey& key, std::uint32_t hash, std::size_t bytes,
 }
 
 void SmCache::clear() noexcept {
+  drop_run();
   nodes_.clear();  // trivially destructible: keeps capacity, frees nothing
   free_ = head_ = tail_ = kNil;
   lines_ = 0;
@@ -71,11 +124,12 @@ void SmCache::clear() noexcept {
 
 void SmCache::evict_lru() noexcept {
   const std::uint32_t victim = tail_;
+  if (nodes_[victim].run == run_id_) drop_run();
   std::size_t i = nodes_[victim].hash & mask_;
   while (slots_[i].epoch != epoch_ || slots_[i].node != victim)
     i = (i + 1) & mask_;
   erase_slot(i);
-  unlink(victim);
+  unlink(victim, victim);
   resident_bytes_ -= nodes_[victim].bytes;
   --lines_;
   nodes_[victim].next = free_;

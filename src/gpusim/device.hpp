@@ -84,6 +84,16 @@ class BlockCtx {
     state_.cache.access(CacheKey{buf, row, chunk}, bytes);
   }
 
+  /// Model reads of rows first .. first + count - 1 of `buf` (chunk 0),
+  /// `bytes` each, in ascending order: exactly `count` load() calls. A
+  /// block that streams the same rows as the SM's previous such call (the
+  /// dense Apply kernels' weight rows) costs one LRU splice while the rows
+  /// stay resident (SmCache::access_rows).
+  void load_rows(BufferId buf, std::uint32_t first, std::uint32_t count,
+                 std::size_t bytes) {
+    state_.cache.access_rows(buf, first, count, bytes);
+  }
+
   /// Model a write: write-through (global traffic) + write-allocate.
   void store(BufferId buf, std::uint32_t row, std::size_t bytes,
              std::uint32_t chunk = 0) {

@@ -238,8 +238,7 @@ gpusim::BufferId apply_dense(Device& dev, BufferId x, BufferId w, BufferId b,
     float* orow = &ov[static_cast<std::size_t>(r) * hidden];
     // Weight-matrix rows stream through the SM cache; blocks sharing an SM
     // reuse them.
-    for (std::size_t k = 0; k < feat; ++k)
-      ctx.load(w, static_cast<std::uint32_t>(k), hb);
+    ctx.load_rows(w, 0, static_cast<std::uint32_t>(feat), hb);
     accumulate_xw(xr, wv.data(), feat, hidden, orow);
     ctx.load(b, 0, hb);
     for (std::size_t c = 0; c < hidden; ++c) {
@@ -304,8 +303,7 @@ DenseGrads apply_dense_backward(Device& dev, BufferId x, BufferId w,
       ctx.load(dz, r, hb);
       const float* dzr = &dzv[static_cast<std::size_t>(r) * hidden];
       float* dxr = &dxv[static_cast<std::size_t>(r) * feat];
-      for (std::size_t k = 0; k < feat; ++k)
-        ctx.load(w, static_cast<std::uint32_t>(k), hb);
+      ctx.load_rows(w, 0, static_cast<std::uint32_t>(feat), hb);
       dz_wt(dzr, wv.data(), feat, hidden, dxr);
       ctx.flops(2ull * feat * hidden);
       ctx.store(grads.dx, r, feat * sizeof(float));
@@ -349,8 +347,7 @@ gpusim::BufferId apply_matmul(Device& dev, BufferId x, BufferId w) {
     ctx.load(x, r, feat * sizeof(float));
     const float* xr = &xv[static_cast<std::size_t>(r) * feat];
     float* orow = &ov[static_cast<std::size_t>(r) * hidden];
-    for (std::size_t k = 0; k < feat; ++k)
-      ctx.load(w, static_cast<std::uint32_t>(k), hb);
+    ctx.load_rows(w, 0, static_cast<std::uint32_t>(feat), hb);
     accumulate_xw(xr, wv.data(), feat, hidden, orow);
     ctx.flops(2ull * feat * hidden);
     ctx.store(out, r, hb);
@@ -381,8 +378,7 @@ MatmulGrads apply_matmul_backward(Device& dev, BufferId x, BufferId w,
       ctx.load(dy, r, hb);
       const float* dyr = &dyv[static_cast<std::size_t>(r) * hidden];
       float* dxr = &dxv[static_cast<std::size_t>(r) * feat];
-      for (std::size_t k = 0; k < feat; ++k)
-        ctx.load(w, static_cast<std::uint32_t>(k), hb);
+      ctx.load_rows(w, 0, static_cast<std::uint32_t>(feat), hb);
       dz_wt(dyr, wv.data(), feat, hidden, dxr);
       ctx.flops(2ull * feat * hidden);
       ctx.store(grads.dx, r, feat * sizeof(float));

@@ -41,8 +41,15 @@ class Parser {
   bool value(JsonValue* out) {
     if (pos_ >= s_.size()) return fail("unexpected end of input");
     switch (s_[pos_]) {
-      case '{': return object(out);
-      case '[': return array(out);
+      case '{':
+      case '[': {
+        static_assert(kJsonMaxDepth == 512, "the message names the cap");
+        if (depth_ == kJsonMaxDepth) return fail("nesting deeper than 512");
+        ++depth_;
+        const bool ok = s_[pos_] == '{' ? object(out) : array(out);
+        --depth_;
+        return ok;
+      }
       case '"': {
         std::string s;
         if (!string(&s)) return false;
@@ -217,6 +224,7 @@ class Parser {
   std::string_view s_;
   std::string* error_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open at pos_
 };
 
 }  // namespace

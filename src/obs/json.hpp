@@ -87,6 +87,11 @@ class JsonValue {
   std::shared_ptr<JsonObject> obj_;
 };
 
+/// Deepest array/object nesting json_parse accepts. The writers nest fewer
+/// than 10 levels; the cap keeps a hostile document from exhausting the
+/// parser's stack.
+inline constexpr int kJsonMaxDepth = 512;
+
 /// Parse one complete JSON document. On failure returns null and, when
 /// `error` is non-null, stores a byte offset + message description.
 bool json_parse(std::string_view text, JsonValue* out,

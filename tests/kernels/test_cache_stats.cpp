@@ -113,6 +113,32 @@ TEST(CacheStatsGolden, NapaForwardAndBackward) {
   });
 }
 
+TEST(CacheStatsGolden, NapaApplyWeightWiderThanTheSmCache) {
+  // W is 48 rows x 320 B = 15 KiB against a 12 KiB SM cache, so a block's
+  // weight-row run evicts its own first rows and is never tracked: every
+  // load_rows call of the four weight-row streams takes the per-line path
+  // (and misses). The bias row of apply_bias_act is what hits.
+  const LayerProblem p = make_problem(/*seed=*/2024, /*n_vertices=*/1500,
+                                      /*n_dst=*/400, /*n_edges=*/9000,
+                                      /*feat=*/48, /*hidden=*/80);
+  expect_golden_across_reset("0x7d431a2647e2a251", [&](gpusim::Device& dev) {
+    auto x = upload_matrix(dev, p.x, "x");
+    auto w = upload_matrix(dev, p.w, "w");
+    auto b = upload_matrix(dev, p.b, "b");
+    dev.clear_profile();
+
+    gpusim::BufferId pre = gpusim::kInvalidBuffer;
+    auto y = napa::apply_dense(dev, x, w, b, /*relu=*/true, &pre);
+    auto dense = napa::apply_dense_backward(dev, x, w, pre, y, true);
+    auto z = napa::apply_matmul(dev, x, w);
+    auto act = napa::apply_bias_act(dev, z, b, /*relu=*/false);
+    auto mm = napa::apply_matmul_backward(dev, x, w, act);
+    return std::vector<gpusim::BufferId>{x,        w, b,   pre,   y,
+                                         dense.dw, dense.db, dense.dx,
+                                         z,        act,      mm.dw, mm.dx};
+  });
+}
+
 TEST(CacheStatsGolden, GraphApproachEdgewise) {
   const LayerProblem p = problem();
   expect_golden_across_reset("0x0f25f9f4b21f33af", [&](gpusim::Device& dev) {

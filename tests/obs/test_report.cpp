@@ -3,14 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "json_checker.hpp"
+#include "obs/attrib/kernel_ledger.hpp"
 #include "obs/json.hpp"
+#include "obs/live/snapshot.hpp"
+#include "obs/metrics.hpp"
 #include "obs/obs_hook.hpp"
 #include "obs/trace.hpp"
+#include "util/rng.hpp"
 
 namespace gt::obs {
 namespace {
@@ -51,6 +56,147 @@ TEST(JsonParser, AcceptsValuesAndReportsErrors) {
   EXPECT_FALSE(json_parse("{\"a\":}", &v, &err));
   EXPECT_FALSE(err.empty());
   EXPECT_FALSE(json_parse("[1,2] trailing", &v, &err));
+}
+
+TEST(JsonParser, RejectsDeepNestingWithoutCrashing) {
+  JsonValue v;
+  std::string err;
+  // Without a cap, recursion this deep overflows the parser's stack.
+  EXPECT_FALSE(json_parse(std::string(100000, '['), &v, &err));
+  EXPECT_EQ(err, "JSON parse error at byte 512: nesting deeper than 512");
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"k\":";
+  EXPECT_FALSE(json_parse(objects, &v, &err));
+  EXPECT_NE(err.find("nesting deeper than 512"), std::string::npos) << err;
+
+  // The cap itself is accepted; one level more is not.
+  const auto nested = [](int depth) {
+    return std::string(depth, '[') + "0" + std::string(depth, ']');
+  };
+  ASSERT_TRUE(json_parse(nested(kJsonMaxDepth), &v, &err)) << err;
+  EXPECT_TRUE(v.is_array());
+  EXPECT_FALSE(json_parse(nested(kJsonMaxDepth + 1), &v, &err));
+  EXPECT_TRUE(v.is_null());
+  EXPECT_NE(err.find("nesting deeper than 512"), std::string::npos) << err;
+}
+
+/// A bench report, a kernels.json and a telemetry snapshot, as the repo's
+/// writers produce them: the documents the parser reads back.
+std::vector<std::string> writer_documents() {
+  std::vector<std::string> docs;
+  {
+    BenchReporter& r = BenchReporter::global();
+    r.clear();
+    r.set_binary("json_mutation");
+    r.set_context("Fig M", "mutation \"seed\"");
+    r.add_row(row("latency", "wiki-talk", "PyG-MT", 100.0, 97.5, "us"));
+    r.add_row(row("speedup", "products", "", 2.0, 1.25));
+    r.add_claim("overall speedup", 3.0, 2.8, "x");
+    std::ostringstream os;
+    r.write_json(os);
+    r.clear();
+    docs.push_back(os.str());
+  }
+  {
+    attrib::KernelLedger ledger;
+    ledger.arm("");
+    attrib::BatchTotals t;
+    t.stage_busy_us[0] = 100.0;
+    t.stage_busy_us[3] = 20.0;
+    t.makespan_us = 110.0;
+    t.fwp_us = 40.0;
+    t.bwp_us = 30.0;
+    t.end_to_end_us = 150.0;
+    ledger.record_batch(
+        t, {{"Apply.MatMul", "combination", "fwd", 300, 15.0, 2000, 2048},
+            {"napa.Pull", "aggregation", "bwd", 1024, 30.0, 1500, 8192}});
+    ledger.record_prediction("fwd/aggregation-first/L0", 9.5, 10.0, true);
+    std::ostringstream os;
+    ledger.write_json(os);
+    docs.push_back(os.str());
+  }
+  {
+    const std::string dir = ::testing::TempDir() + "gt_json_mutation_snap";
+    MetricsRegistry reg;
+    reg.counter("work.items").add(5);
+    reg.gauge("p99").set(123.5);
+    reg.histogram("lat_us", {1.0, 10.0}).observe(3.0);
+    live::SnapshotterOptions opt;
+    opt.dir = dir;
+    live::TelemetrySnapshotter snap(reg, opt);
+    snap.tick();
+    reg.counter("work.items").add(3);
+    snap.tick();
+    std::ostringstream os;
+    snap.write_snapshot(snap.ring().newest(), os);
+    std::filesystem::remove_all(dir);
+    docs.push_back(os.str());
+  }
+  return docs;
+}
+
+// Seeded mutation fuzzing of the parser, after Options.SurvivesMutatedArgv:
+// whatever the mutations make of a writer's document, json_parse either
+// accepts it or rejects it with a positioned message, and never crashes
+// (the suite also runs under ASan + UBSan).
+TEST(JsonParser, SurvivesMutatedDocuments) {
+  const std::vector<std::string> seeds = writer_documents();
+  JsonValue v;
+  std::string err;
+  for (const std::string& doc : seeds) ASSERT_TRUE(json_parse(doc, &v, &err));
+
+  const std::string prefix = "JSON parse error at byte ";
+  Xoshiro256 rng(20261017);
+  std::size_t accepted = 0, rejected = 0, too_deep = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::string doc = seeds[rng.uniform(seeds.size())];
+    const std::uint64_t mutations = 1 + rng.uniform(3);
+    for (std::uint64_t m = 0; m < mutations; ++m) {
+      const std::size_t at = rng.uniform(doc.size() + 1);
+      switch (rng.uniform(5)) {
+        case 0:  // truncate
+          doc.resize(at);
+          break;
+        case 1:  // overwrite one byte (any value, including NUL)
+          if (!doc.empty())
+            doc[rng.uniform(doc.size())] = static_cast<char>(rng.uniform(256));
+          break;
+        case 2:  // duplicate a span in place
+          doc.insert(at, doc.substr(at, 1 + rng.uniform(64)));
+          break;
+        case 3:  // delete a span
+          doc.erase(at, 1 + rng.uniform(64));
+          break;
+        default: {  // splice in nesting, sometimes far past the cap
+          const std::size_t depth = rng.uniform(8) == 0
+                                        ? 100000
+                                        : 1 + rng.uniform(2 * kJsonMaxDepth);
+          const bool arrays = rng.uniform(2) == 0;
+          std::string open, close;
+          for (std::size_t d = 0; d < depth; ++d) {
+            open += arrays ? "[" : "{\"k\":";
+            close += arrays ? "]" : "}";
+          }
+          doc.insert(at, rng.uniform(2) == 0 ? open : open + "0" + close);
+        }
+      }
+    }
+    err.clear();
+    if (json_parse(doc, &v, &err)) {
+      ++accepted;
+      continue;
+    }
+    ++rejected;
+    EXPECT_TRUE(v.is_null());
+    ASSERT_EQ(err.rfind(prefix, 0), 0u) << err;
+    EXPECT_LE(std::stoull(err.substr(prefix.size())), doc.size()) << err;
+    if (err.find("nesting deeper than 512") != std::string::npos) ++too_deep;
+  }
+  // The mutations must exercise both outcomes, and the cap, to mean
+  // anything.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 100u);
+  EXPECT_GT(too_deep, 10u);
 }
 
 TEST(BenchReporter, RowsInheritContextFigure) {
