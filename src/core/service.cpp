@@ -1,14 +1,12 @@
 #include "core/service.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <future>
 
 #include "kernels/reference.hpp"
 #include "obs/attrib/kernel_ledger.hpp"
 #include "obs/live/event_log.hpp"
-#include "obs/live/worker_profiler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pipeline/executor.hpp"
@@ -20,12 +18,6 @@
 namespace gt {
 
 namespace {
-double elapsed_us(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - since)
-      .count();
-}
-
 // Correlation id of a batch: batch_index + 1, so cid 0 stays "none" and a
 // grep for one cid returns the batch's whole causal chain (fault.inject,
 // every retry, the degradation) across prepare threads and the execute
@@ -296,7 +288,6 @@ void GnnService::run_ring(
   struct Slot {
     frameworks::BatchSpec spec;
     std::future<void> prepared;
-    double prepare_us = 0.0;
   };
   std::vector<Slot> ring(workers);
 
@@ -334,17 +325,11 @@ void GnnService::run_ring(
     ++launched;
     slot.spec = *next;
     std::packaged_task<void()> prepare(
-        [this, ctx, spec = *next, slot_us = &slot.prepare_us,
-         plan = fault_plan_.get()] {
-          GT_OBS_SCOPE_N(span, "service.prepare_batch", "service");
-          span.arg("batch", static_cast<std::int64_t>(spec.batch_index));
+        [this, ctx, spec = *next, plan = fault_plan_.get()] {
           obs::live::CorrelationScope cscope(batch_cid(spec));
-          GT_LIVE_STAGE(kPrepare);
-          const auto t0 = std::chrono::steady_clock::now();
           fault::PlanScope scope(plan, spec.batch_index);
           ctx->begin_batch();
           backend_->prepare_batch(dataset_, model_, spec, *ctx);
-          *slot_us = elapsed_us(t0);
         });
     slot.prepared = prepare.get_future();
     if (workers > 1)
@@ -362,15 +347,9 @@ void GnnService::run_ring(
     frameworks::RunReport report;
     try {
       slot.prepared.get();  // rethrows preprocessing failures
-      GT_OBS_SCOPE_N(span, "service.execute_batch", "service");
-      span.arg("batch", static_cast<std::int64_t>(spec.batch_index));
       obs::live::CorrelationScope cscope(batch_cid(spec));
-      GT_LIVE_STAGE(kExecute);
-      const auto t0 = std::chrono::steady_clock::now();
       fault::PlanScope scope(fault_plan_.get(), spec.batch_index);
       report = backend_->execute_prepared(dataset_, model_, params_, spec, ctx);
-      report.host_execute_us = elapsed_us(t0);
-      report.host_prepare_us = slot.prepare_us;
     } catch (const fault::InjectedFault& f) {
       if (f.kind() == fault::Kind::kAbort) throw;  // guard drains behind us
       // Transient: re-run the whole batch serially (the failed prepare or

@@ -1,7 +1,6 @@
 #include "frameworks/baselines.hpp"
 
 #include "frameworks/common.hpp"
-#include "obs/live/worker_profiler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "kernels/dl_approach.hpp"
@@ -240,29 +239,20 @@ pipeline::PlanOptions BaselineFramework::plan_options() const {
   return plan;
 }
 
-void BaselineFramework::prepare_batch(const Dataset& data,
-                                      const models::GnnModelConfig& model,
-                                      const BatchSpec& spec,
-                                      pipeline::BatchContext& ctx) {
-  GT_OBS_SCOPE_N(prep_span, "frameworks.prepare_batch", "frameworks");
-  prep_span.arg("framework", name_);
-  prep_span.arg("batch", static_cast<std::int64_t>(spec.batch_index));
+void BaselineFramework::prepare(const Dataset& data,
+                                const models::GnnModelConfig& model,
+                                const BatchSpec& spec,
+                                pipeline::BatchContext& ctx) {
   detail::preprocess_into(data, spec, model.num_layers, reindex_formats(),
                           plan_options(), ctx);
 }
 
-RunReport BaselineFramework::execute_prepared(
-    const Dataset& data, const models::GnnModelConfig& model,
-    models::ModelParams& params, const BatchSpec& spec,
-    pipeline::BatchContext& ctx) {
-  GT_OBS_SCOPE_N(batch_span, "frameworks.run_batch", "frameworks");
+RunReport BaselineFramework::execute(const Dataset& /*data*/,
+                                     const models::GnnModelConfig& model,
+                                     models::ModelParams& params,
+                                     const BatchSpec& spec,
+                                     pipeline::BatchContext& ctx) {
   RunReport report;
-  report.framework = name_;
-  report.model = model.name;
-  report.dataset = data.spec.name;
-  batch_span.arg("framework", report.framework);
-  batch_span.arg("batch", static_cast<std::int64_t>(spec.batch_index));
-
   const std::uint32_t L = model.num_layers;
   const bool graph_compute =
       options_.compute == BaselineOptions::Compute::kGraph;
@@ -290,7 +280,7 @@ RunReport BaselineFramework::execute_prepared(
     BufferId x = session.input;
     dev.set_phase(gpusim::KernelPhase::kForward);
     {
-      GT_LIVE_STAGE(kForward);
+      GT_OBS_STAGE(fwp_span, kForward, "FWP", "FWP");
       for (std::uint32_t l = 0; l < L; ++l) {
         const bool relu = model.relu_at(l);
         LayerCache cache =
@@ -324,7 +314,7 @@ RunReport BaselineFramework::execute_prepared(
                                     &dy, &ctx);
 
     {
-      GT_LIVE_STAGE(kBackward);
+      GT_OBS_STAGE(bwp_span, kBackward, "BWP", "BWP");
       for (std::uint32_t li = L; li-- > 0;) {
         const BufferId x_in = li == 0 ? session.input : caches[li - 1].out;
         const bool relu = model.relu_at(li);

@@ -40,15 +40,12 @@ class BaselineFramework : public Framework {
 
   std::string name() const override { return name_; }
 
-  void prepare_batch(const Dataset& data, const models::GnnModelConfig& model,
-                     const BatchSpec& spec,
-                     pipeline::BatchContext& ctx) override;
-
-  RunReport execute_prepared(const Dataset& data,
-                             const models::GnnModelConfig& model,
-                             models::ModelParams& params,
-                             const BatchSpec& spec,
-                             pipeline::BatchContext& ctx) override;
+ protected:
+  void prepare(const Dataset& data, const models::GnnModelConfig& model,
+               const BatchSpec& spec, pipeline::BatchContext& ctx) override;
+  RunReport execute(const Dataset& data, const models::GnnModelConfig& model,
+                    models::ModelParams& params, const BatchSpec& spec,
+                    pipeline::BatchContext& ctx) override;
 
  private:
   sampling::ReindexFormats reindex_formats() const;

@@ -5,7 +5,6 @@
 #include "datasets/embedding.hpp"
 #include "fault/fault.hpp"
 #include "obs/attrib/kernel_ledger.hpp"
-#include "obs/live/worker_profiler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
@@ -152,7 +151,7 @@ void open_session(DeviceSession& session, const pipeline::PreprocResult& pre,
                   const sampling::ReindexFormats& formats,
                   bool upload_input) {
   fault::check(fault::Site::kTransfer);
-  GT_LIVE_STAGE(kTransfer);
+  GT_OBS_STAGE(span, kTransfer, "T.transfer", "transfer");
   gpusim::Device& dev = session.dev;
   dev.reset();
   session.input = gpusim::kInvalidBuffer;

@@ -1,22 +1,13 @@
 #include "frameworks/framework.hpp"
 
-#include <chrono>
 #include <stdexcept>
 
 #include "frameworks/baselines.hpp"
 #include "frameworks/common.hpp"
 #include "frameworks/graphtensor.hpp"
-#include "obs/live/worker_profiler.hpp"
+#include "obs/trace.hpp"
 
 namespace gt::frameworks {
-
-namespace {
-double elapsed_us(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - since)
-      .count();
-}
-}  // namespace
 
 const char* to_string(ShardStrategy s) {
   switch (s) {
@@ -46,24 +37,46 @@ detail::DeviceSession& Framework::device_session() {
   return *session_;
 }
 
+// The two phase scopes are plain Spans, not GT_OBS_STAGE sites: the
+// reports' host fields need their durations in a GT_OBS_DISABLE build too.
+void Framework::prepare_batch(const Dataset& data,
+                              const models::GnnModelConfig& model,
+                              const BatchSpec& spec,
+                              pipeline::BatchContext& ctx) {
+  obs::Span scope(obs::live::Stage::kPrepare, "frameworks.prepare_batch",
+                  "frameworks");
+  scope.arg("framework", name());
+  scope.arg("batch", static_cast<std::int64_t>(spec.batch_index));
+  prepare(data, model, spec, ctx);
+  ctx.set_host_prepare_us(scope.stop());
+}
+
+RunReport Framework::execute_prepared(const Dataset& data,
+                                      const models::GnnModelConfig& model,
+                                      models::ModelParams& params,
+                                      const BatchSpec& spec,
+                                      pipeline::BatchContext& ctx) {
+  obs::Span scope(obs::live::Stage::kExecute, "frameworks.execute_batch",
+                  "frameworks");
+  scope.arg("framework", name());
+  scope.arg("batch", static_cast<std::int64_t>(spec.batch_index));
+  RunReport report = execute(data, model, params, spec, ctx);
+  report.framework = name();
+  report.model = model.name;
+  report.dataset = data.spec.name;
+  report.host_prepare_us = ctx.host_prepare_us();
+  report.host_execute_us = scope.stop();
+  return report;
+}
+
 RunReport Framework::run_batch(const Dataset& data,
                                const models::GnnModelConfig& model,
                                models::ModelParams& params,
                                const BatchSpec& spec,
                                pipeline::BatchContext& ctx) {
   ctx.begin_batch();
-  const auto t0 = std::chrono::steady_clock::now();
-  {
-    GT_LIVE_STAGE(kPrepare);
-    prepare_batch(data, model, spec, ctx);
-  }
-  const double prepare_us = elapsed_us(t0);
-  const auto t1 = std::chrono::steady_clock::now();
-  GT_LIVE_STAGE(kExecute);
-  RunReport report = execute_prepared(data, model, params, spec, ctx);
-  report.host_execute_us = elapsed_us(t1);
-  report.host_prepare_us = prepare_us;
-  return report;
+  prepare_batch(data, model, spec, ctx);
+  return execute_prepared(data, model, params, spec, ctx);
 }
 
 RunReport Framework::run_batch(const Dataset& data,

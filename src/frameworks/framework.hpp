@@ -1,11 +1,16 @@
 // Framework interface: one training batch, end to end, fully instrumented.
 //
 // Every evaluated system (Base-GT / Dynamic-GT / Prepro-GT and the PyG /
-// DGL / GNNAdvisor / SALIENT baselines) implements run_batch: preprocess
-// (sample, reindex, lookup, transfer), execute FWP + loss + BWP on the
-// simulated GPU, apply SGD, and report the Nsight-style kernel profile,
-// memory statistics, and the preprocessing schedule. Benchmarks reproduce
-// the paper's tables and figures from these reports alone.
+// DGL / GNNAdvisor / SALIENT baselines) implements two phases: prepare
+// (sample, reindex, lookup) and execute (transfer, FWP + loss + BWP on the
+// simulated GPU, SGD), reporting the Nsight-style kernel profile, memory
+// statistics, and the preprocessing schedule. Benchmarks reproduce the
+// paper's tables and figures from these reports alone.
+//
+// Framework itself opens the two phase stage scopes (obs::Span) around
+// them, so every caller — the service ring, its retry path, the bench
+// binaries — gets one host-time measurement per phase, shared by the
+// report, the WorkerProfiler and the trace.
 #pragma once
 
 #include <array>
@@ -111,8 +116,10 @@ struct RunReport {
   double end_to_end_us = 0.0;
 
   // Real (steady_clock) host time spent running this batch, as opposed to
-  // the *simulated* times above. Varies run to run with machine load and
-  // the compute-engine thread count; equivalence checks must ignore it.
+  // the *simulated* times above: the durations of the prepare and execute
+  // stage scopes, the same ones the WorkerProfiler adds up. Varies run to
+  // run with machine load and the compute-engine thread count; equivalence
+  // checks must ignore it.
   double host_prepare_us = 0.0;  // prepare_batch wall-clock
   double host_execute_us = 0.0;  // execute_prepared wall-clock
 
@@ -180,21 +187,23 @@ class Framework {
   /// Phase 1 — parameter-independent preprocessing (sample, reindex,
   /// lookup, schedule pricing) into `ctx`'s reusable storage. Safe to run
   /// concurrently for different batches on *distinct* contexts; never
-  /// touches model parameters or framework state.
-  virtual void prepare_batch(const Dataset& data,
-                             const models::GnnModelConfig& model,
-                             const BatchSpec& spec,
-                             pipeline::BatchContext& ctx) = 0;
+  /// touches model parameters or framework state. Runs prepare() inside
+  /// the prepare stage scope, whose duration waits in `ctx` for
+  /// execute_prepared.
+  void prepare_batch(const Dataset& data, const models::GnnModelConfig& model,
+                     const BatchSpec& spec, pipeline::BatchContext& ctx);
 
   /// Phase 2 — device compute, loss, backward, and SGD from a prepared
   /// context. Mutates `params` and framework state (cost model, caches):
   /// callers must invoke it serially, in batch order, for determinism.
-  /// Must not throw on GPU OOM — reports it.
-  virtual RunReport execute_prepared(const Dataset& data,
-                                     const models::GnnModelConfig& model,
-                                     models::ModelParams& params,
-                                     const BatchSpec& spec,
-                                     pipeline::BatchContext& ctx) = 0;
+  /// Must not throw on GPU OOM — reports it. Runs execute() inside the
+  /// execute stage scope and fills the report's framework/model/dataset
+  /// and both host_*_us fields.
+  RunReport execute_prepared(const Dataset& data,
+                             const models::GnnModelConfig& model,
+                             models::ModelParams& params,
+                             const BatchSpec& spec,
+                             pipeline::BatchContext& ctx);
 
   /// Train one batch end to end in `ctx`: begin_batch + prepare + execute.
   RunReport run_batch(const Dataset& data, const models::GnnModelConfig& model,
@@ -207,6 +216,14 @@ class Framework {
                       models::ModelParams& params, const BatchSpec& spec);
 
  protected:
+  /// The backend's two phases, behind prepare_batch / execute_prepared.
+  virtual void prepare(const Dataset& data, const models::GnnModelConfig& model,
+                       const BatchSpec& spec, pipeline::BatchContext& ctx) = 0;
+  virtual RunReport execute(const Dataset& data,
+                            const models::GnnModelConfig& model,
+                            models::ModelParams& params, const BatchSpec& spec,
+                            pipeline::BatchContext& ctx) = 0;
+
   /// The backend's one simulated device and its uploads, built on first
   /// use. execute_prepared runs serially per backend, so every batch
   /// attempt resets and refills this session (detail::open_session)

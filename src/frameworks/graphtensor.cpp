@@ -5,7 +5,6 @@
 #include "frameworks/common.hpp"
 #include "frameworks/sharding.hpp"
 #include "obs/attrib/kernel_ledger.hpp"
-#include "obs/live/worker_profiler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sampling/cache_hierarchy.hpp"
@@ -42,13 +41,10 @@ constexpr sampling::ReindexFormats kGtFormats{.coo = false, .csr = true,
                                               .csc = true};
 }  // namespace
 
-void GraphTensorFramework::prepare_batch(const Dataset& data,
-                                         const models::GnnModelConfig& model,
-                                         const BatchSpec& spec,
-                                         pipeline::BatchContext& ctx) {
-  GT_OBS_SCOPE_N(prep_span, "frameworks.prepare_batch", "frameworks");
-  prep_span.arg("framework", name());
-  prep_span.arg("batch", static_cast<std::int64_t>(spec.batch_index));
+void GraphTensorFramework::prepare(const Dataset& data,
+                                   const models::GnnModelConfig& model,
+                                   const BatchSpec& spec,
+                                   pipeline::BatchContext& ctx) {
   detail::preprocess_into(data, spec, model.num_layers, kGtFormats,
                           plan_options(), ctx);
   // Sampler lookahead: the batch's vid_order is final here, so its rows
@@ -75,18 +71,12 @@ sampling::CacheHierarchy& GraphTensorFramework::ensure_hierarchy(
   return *hierarchy_;
 }
 
-RunReport GraphTensorFramework::execute_prepared(
-    const Dataset& data, const models::GnnModelConfig& model,
-    models::ModelParams& params, const BatchSpec& spec,
-    pipeline::BatchContext& ctx) {
-  GT_OBS_SCOPE_N(batch_span, "frameworks.run_batch", "frameworks");
+RunReport GraphTensorFramework::execute(const Dataset& data,
+                                        const models::GnnModelConfig& model,
+                                        models::ModelParams& params,
+                                        const BatchSpec& spec,
+                                        pipeline::BatchContext& ctx) {
   RunReport report;
-  report.framework = name();
-  report.model = model.name;
-  report.dataset = data.spec.name;
-  batch_span.arg("framework", report.framework);
-  batch_span.arg("batch", static_cast<std::int64_t>(spec.batch_index));
-
   const std::uint32_t L = model.num_layers;
   const sampling::ReindexFormats formats = kGtFormats;
   const pipeline::PlanOptions plan = plan_options();
@@ -303,7 +293,7 @@ RunReport GraphTensorFramework::execute_prepared(
     gpusim::BufferId x = session.input;
     dev.set_phase(gpusim::KernelPhase::kForward);
     {
-      GT_LIVE_STAGE(kForward);
+      GT_OBS_STAGE(fwp_span, kForward, "FWP", "FWP");
       for (std::uint32_t l = 0; l < L; ++l) {
         const double before = dev.profile_latency_us();
         const std::size_t slice_lo = dev.profile().size();
@@ -373,7 +363,7 @@ RunReport GraphTensorFramework::execute_prepared(
 
     // ---- BWP ----------------------------------------------------------------
     {
-      GT_LIVE_STAGE(kBackward);
+      GT_OBS_STAGE(bwp_span, kBackward, "BWP", "BWP");
       for (std::uint32_t li = L; li-- > 0;) {
         const gpusim::BufferId x_in =
             li == 0 ? session.input : fwds[li - 1].out;

@@ -61,16 +61,6 @@ class GraphTensorFramework : public Framework {
     return hierarchy_ ? hierarchy_->stats() : sampling::CacheStats{};
   }
 
-  void prepare_batch(const Dataset& data, const models::GnnModelConfig& model,
-                     const BatchSpec& spec,
-                     pipeline::BatchContext& ctx) override;
-
-  RunReport execute_prepared(const Dataset& data,
-                             const models::GnnModelConfig& model,
-                             models::ModelParams& params,
-                             const BatchSpec& spec,
-                             pipeline::BatchContext& ctx) override;
-
   /// Expose the orchestrator's cost model (Table I benchmarks read the fit
   /// error and coefficients).
   const dfg::DkpCostModel& cost_model() const noexcept { return cost_model_; }
@@ -80,6 +70,13 @@ class GraphTensorFramework : public Framework {
 
   /// Cache hit rate observed by the last cache-enabled batch.
   double last_cache_hit_rate() const noexcept { return last_hit_rate_; }
+
+ protected:
+  void prepare(const Dataset& data, const models::GnnModelConfig& model,
+               const BatchSpec& spec, pipeline::BatchContext& ctx) override;
+  RunReport execute(const Dataset& data, const models::GnnModelConfig& model,
+                    models::ModelParams& params, const BatchSpec& spec,
+                    pipeline::BatchContext& ctx) override;
 
  private:
   pipeline::PlanOptions plan_options() const;

@@ -50,26 +50,25 @@ double LedgerData::per_batch(double sum_us) const noexcept {
 
 bool LedgerData::load(const std::string& path, LedgerData* out,
                       std::string* error) {
+  auto fail = [&](const std::string& why) {
+    if (error) *error = path + ": " + why;
+    return false;
+  };
   JsonValue doc;
   std::string parse_err;
-  if (!json_parse_file(path, &doc, &parse_err)) {
-    if (error) *error = path + ": " + parse_err;
-    return false;
-  }
-  const double ver = doc.number_at("schema_version", -1.0);
-  if (static_cast<int>(ver) != kKernelLedgerSchemaVersion) {
-    if (error)
-      *error = path + ": unsupported kernels.json schema_version " +
-               std::to_string(static_cast<int>(ver));
-    return false;
-  }
+  if (!json_parse_file(path, &doc, &parse_err)) return fail(parse_err);
+  const std::optional<int> ver = doc.int_at<int>("schema_version");
+  if (!ver) return fail("schema_version is not an integer");
+  if (*ver != kKernelLedgerSchemaVersion)
+    return fail("unsupported kernels.json schema_version " +
+                std::to_string(*ver));
   LedgerData d;
   const JsonValue& totals = doc.at("totals");
-  if (!totals.is_object()) {
-    if (error) *error = path + ": missing totals object";
-    return false;
-  }
-  d.batches = static_cast<std::size_t>(totals.number_at("batches"));
+  if (!totals.is_object()) return fail("missing totals object");
+  const std::optional<std::size_t> batches =
+      totals.int_at<std::size_t>("batches");
+  if (!batches) return fail("totals.batches is not a non-negative integer");
+  d.batches = *batches;
   d.end_to_end_us = totals.number_at("end_to_end_us");
   d.makespan_us = totals.number_at("makespan_us");
   for (int i = 0; i < 4; ++i) d.stage_us[i] = totals.number_at(kStageKeys[i]);
@@ -88,8 +87,11 @@ bool LedgerData::load(const std::string& path, LedgerData* out,
   }
 
   const JsonValue& residual = doc.at("costmodel").at("residual");
-  d.residual_samples =
-      static_cast<std::size_t>(residual.number_at("samples"));
+  const std::optional<std::size_t> samples =
+      residual.int_at<std::size_t>("samples");
+  if (!samples)
+    return fail("costmodel.residual.samples is not a non-negative integer");
+  d.residual_samples = *samples;
   d.residual_p50_pct = residual.number_at("p50_pct");
   d.residual_p95_pct = residual.number_at("p95_pct");
   *out = std::move(d);

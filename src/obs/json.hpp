@@ -8,8 +8,11 @@
 // plain recursive variant with no arena tricks.
 #pragma once
 
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,6 +77,26 @@ class JsonValue {
   }
   const std::string& string_at(std::string_view key) const noexcept {
     return at(key).as_string();
+  }
+
+  /// Member `key` as an exact integer in [lo, hi]; empty when the member
+  /// is missing, not a number, has a fraction or lies out of range. Use it
+  /// instead of casting number_at(): casting an out-of-range double to an
+  /// integer is undefined behaviour.
+  template <typename Int>
+  std::optional<Int> int_at(std::string_view key,
+                            Int lo = std::numeric_limits<Int>::min(),
+                            Int hi = std::numeric_limits<Int>::max())
+      const noexcept {
+    const JsonValue& v = at(key);
+    // hi + 1.0 is exact below 2^53 and rounds to the next power of two
+    // for the 64-bit maxima, so with the fraction check this admits hi
+    // and nothing above it.
+    if (!v.is_number() || !(v.num_ >= static_cast<double>(lo)) ||
+        !(v.num_ < static_cast<double>(hi) + 1.0) ||
+        std::trunc(v.num_) != v.num_)
+      return std::nullopt;
+    return static_cast<Int>(v.num_);
   }
 
  private:

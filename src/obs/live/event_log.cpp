@@ -201,10 +201,4 @@ std::string EventLog::path() const {
   return path_;
 }
 
-void emit_event(Severity sev, std::string_view type, std::string_view msg) {
-  EventLog& log = EventLog::global();
-  if (!log.armed()) return;
-  log.emit(Event(sev, type).msg(msg));
-}
-
 }  // namespace gt::obs::live

@@ -127,7 +127,4 @@ class EventLog {
   std::uint64_t emitted_ = 0;
 };
 
-/// Shorthand: build and emit in one call (no-op when disarmed).
-void emit_event(Severity sev, std::string_view type, std::string_view msg);
-
 }  // namespace gt::obs::live

@@ -1,5 +1,7 @@
 #include "obs/live/worker_profiler.hpp"
 
+#include <chrono>
+
 namespace gt::obs::live {
 
 namespace {

@@ -15,14 +15,14 @@
 // (busy / wall since enable) and skew (max busy / mean busy), and exposes
 // the aggregates as gauges plus a per-worker array in the snapshot JSON.
 //
-// Cost model: when the profiler is disabled (the default) a StageTimer is
-// one relaxed atomic load; GT_OBS_DISABLE compiles the GT_LIVE_STAGE
-// macro away entirely (same contract as GT_OBS_SCOPE).
+// Stage time arrives through obs::Span (obs/trace.hpp): a stage scope
+// measures its duration once and adds it here while the profiler is armed,
+// so the profiler, the trace and RunReport's host fields read the same
+// clock pair. Disarmed (the default), recording costs one relaxed load.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -61,7 +61,7 @@ class WorkerProfiler {
   }
 
   /// Add `ns` of stage time to the calling thread's slot. Callers should
-  /// gate on enabled() (StageTimer does).
+  /// gate on enabled() (obs::Span does).
   void add(Stage s, std::uint64_t ns) noexcept;
 
   /// Wall nanoseconds since the last enable(true) (0 if never enabled).
@@ -99,45 +99,4 @@ class WorkerProfiler {
   std::atomic<std::int64_t> epoch_ns_{0};  // steady_clock at enable
 };
 
-/// RAII wall-clock stage timer on the current thread's slot. One relaxed
-/// atomic load when the profiler is disabled.
-class StageTimer {
- public:
-  explicit StageTimer(Stage s) noexcept {
-    WorkerProfiler& p = WorkerProfiler::global();
-    if (!p.enabled()) return;
-    profiler_ = &p;
-    stage_ = s;
-    start_ = std::chrono::steady_clock::now();
-  }
-  ~StageTimer() {
-    if (profiler_ == nullptr) return;
-    const auto end = std::chrono::steady_clock::now();
-    profiler_->add(stage_, static_cast<std::uint64_t>(
-                               std::chrono::duration_cast<
-                                   std::chrono::nanoseconds>(end - start_)
-                                   .count()));
-  }
-  StageTimer(const StageTimer&) = delete;
-  StageTimer& operator=(const StageTimer&) = delete;
-
- private:
-  WorkerProfiler* profiler_ = nullptr;
-  Stage stage_ = Stage::kPrepare;
-  std::chrono::steady_clock::time_point start_{};
-};
-
 }  // namespace gt::obs::live
-
-// Scoped stage-timer macro: compiles to nothing under GT_OBS_DISABLE
-// (same zero-cost contract as GT_OBS_SCOPE in obs/trace.hpp).
-#define GT_LIVE_CONCAT_INNER_(a, b) a##b
-#define GT_LIVE_CONCAT_(a, b) GT_LIVE_CONCAT_INNER_(a, b)
-#ifndef GT_OBS_DISABLE
-#define GT_LIVE_STAGE(stage)                                 \
-  ::gt::obs::live::StageTimer GT_LIVE_CONCAT_(gt_live_stage_, \
-                                              __LINE__)(     \
-      ::gt::obs::live::Stage::stage)
-#else
-#define GT_LIVE_STAGE(stage) ((void)0)
-#endif

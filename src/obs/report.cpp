@@ -215,24 +215,28 @@ bool BenchReporter::write_json_file(const std::string& path) const {
 bool BenchReport::from_json(const JsonValue& doc, BenchReport* out,
                             std::string* error) {
   *out = BenchReport{};
-  if (!doc.is_object()) {
-    if (error != nullptr) *error = "report is not a JSON object";
+  auto fail = [&](const std::string& why) {
+    if (error != nullptr) *error = why;
     return false;
-  }
-  out->schema_version =
-      static_cast<int>(doc.number_at("schema_version", 0.0));
-  if (out->schema_version != kBenchReportSchemaVersion) {
-    if (error != nullptr)
-      *error = "unsupported schema_version " +
-               std::to_string(out->schema_version);
-    return false;
-  }
+  };
+  if (!doc.is_object()) return fail("report is not a JSON object");
+  const std::optional<int> version = doc.int_at<int>("schema_version");
+  if (!version) return fail("schema_version is not an integer");
+  out->schema_version = *version;
+  if (out->schema_version != kBenchReportSchemaVersion)
+    return fail("unsupported schema_version " +
+                std::to_string(out->schema_version));
   const JsonValue& meta = doc.at("meta");
   out->meta.binary = meta.string_at("binary");
   out->meta.git_sha = meta.string_at("git_sha");
   out->meta.build_type = meta.string_at("build_type");
-  out->meta.threads = static_cast<int>(meta.number_at("threads"));
-  out->meta.iterations = static_cast<int>(meta.number_at("iterations", 1.0));
+  const std::optional<int> threads = meta.int_at<int>("threads", 0);
+  if (!threads) return fail("meta.threads is not a non-negative integer");
+  out->meta.threads = *threads;
+  const std::optional<int> iterations = meta.int_at<int>("iterations", 0);
+  if (!iterations)
+    return fail("meta.iterations is not a non-negative integer");
+  out->meta.iterations = *iterations;
   for (const JsonValue& r : doc.at("rows").as_array()) {
     BenchRow row;
     row.figure = r.string_at("figure");

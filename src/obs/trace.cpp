@@ -9,14 +9,6 @@ namespace gt::obs {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-// Tracer epoch; initialized when the tracer singleton first exists.
-Clock::time_point process_epoch() {
-  static const Clock::time_point epoch = Clock::now();
-  return epoch;
-}
-
 thread_local Tracer* tls_owner = nullptr;
 thread_local void* tls_buffer = nullptr;
 
@@ -26,12 +18,6 @@ Tracer& Tracer::global() {
   // Leaked: instrumented code may run during static destruction.
   static Tracer* t = new Tracer();
   return *t;
-}
-
-double Tracer::now_us() const {
-  return std::chrono::duration<double, std::micro>(Clock::now() -
-                                                   process_epoch())
-      .count();
 }
 
 Tracer::ThreadBuffer& Tracer::local_buffer() {
@@ -169,22 +155,32 @@ void Tracer::clear() {
 
 // ---- Span -------------------------------------------------------------------
 
-void Span::begin(Tracer& t, const char* name, const char* cat) {
-  tracer_ = &t;
-  name_ = name;
-  cat_ = cat;
-  start_us_ = t.now_us();
-}
-
-void Span::end() {
-  TraceEvent e;
-  e.name = name_;
-  e.cat = cat_;
-  e.ts_us = start_us_;
-  e.dur_us = tracer_->now_us() - start_us_;
-  e.args_json = std::move(args_);
-  tracer_->emit(std::move(e));
-  tracer_ = nullptr;
+double Span::stop() {
+  if (!timing_) return 0.0;
+  timing_ = false;
+  const std::chrono::steady_clock::time_point end =
+      std::chrono::steady_clock::now();
+  const std::int64_t ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_)
+          .count();
+  const double us = static_cast<double>(ns) / 1e3;
+  if (staged_) {
+    live::WorkerProfiler& p = live::WorkerProfiler::global();
+    if (p.enabled()) p.add(stage_, static_cast<std::uint64_t>(ns));
+  }
+  if (tracer_ != nullptr) {
+    TraceEvent e;
+    e.name = name_;
+    e.cat = cat_;
+    e.ts_us = std::chrono::duration<double, std::micro>(start_ -
+                                                        tracer_->epoch_)
+                  .count();
+    e.dur_us = us;
+    e.args_json = std::move(args_);
+    tracer_->emit(std::move(e));
+    tracer_ = nullptr;
+  }
+  return us;
 }
 
 void Span::arg(const char* key, std::int64_t v) {

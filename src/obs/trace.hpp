@@ -1,4 +1,5 @@
-// Service-wide span tracing with Chrome trace-event export.
+// Service-wide span tracing with Chrome trace-event export, and the one
+// host-time measurement of a pipeline stage.
 //
 // Two clocks coexist in this reproduction, and the tracer records both:
 //  * wall-clock spans (RAII `Span` guards) measure the host code that
@@ -9,15 +10,24 @@
 //    simulated timeline, so one export shows a batch's S/R/K/T tasks
 //    overlapping FWP/BWP exactly like the paper's Fig 20.
 //
+// A Span that carries a live::Stage is a *stage scope*: it reads the clock
+// once at each end and hands that one duration to the calling thread's
+// WorkerProfiler slot (when the profiler is armed), to the trace (when
+// tracing) and to its caller through stop(). Host time per stage thus has
+// one definition, and the profiler and the trace cannot disagree.
+//
 // The export is Chrome trace-event JSON ("X" complete events plus "M"
 // thread-name metadata), loadable in chrome://tracing or Perfetto.
 //
-// Cost model: when tracing is disabled (the default) a Span construction
-// is one relaxed atomic load; defining GT_OBS_DISABLE compiles the
-// GT_OBS_SCOPE macros away entirely.
+// Cost model: a Span without a stage is one relaxed atomic load while
+// tracing is off; a stage scope also reads steady_clock twice. Defining
+// GT_OBS_DISABLE compiles the GT_OBS_SCOPE_N and GT_OBS_STAGE sites to an
+// empty object. Framework's two phase scopes are plain Spans, so the
+// reports' host_prepare_us / host_execute_us stay filled in that build.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -25,6 +35,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/live/worker_profiler.hpp"
 
 namespace gt::obs {
 
@@ -64,9 +76,6 @@ class Tracer {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Wall-clock microseconds since this tracer's construction.
-  double now_us() const;
-
   /// Append an event to the calling thread's buffer. `e.tid == 0` on the
   /// wall pid is replaced with the thread's registered id.
   void emit(TraceEvent e);
@@ -95,6 +104,8 @@ class Tracer {
   void clear();
 
  private:
+  friend class Span;  // stamps events against epoch_
+
   struct ThreadBuffer {
     mutable std::mutex mu;  // owner appends; exporters snapshot
     std::vector<TraceEvent> events;
@@ -103,6 +114,10 @@ class Tracer {
 
   ThreadBuffer& local_buffer();
 
+  // Origin of wall-clock timestamps. Every Span consults the tracer before
+  // reading its start time, so no span starts before the epoch.
+  const std::chrono::steady_clock::time_point epoch_ =
+      std::chrono::steady_clock::now();
   std::atomic<bool> enabled_{false};
   std::atomic<double> virtual_now_us_{0.0};
 
@@ -112,20 +127,34 @@ class Tracer {
   std::uint32_t next_tid_ = 1;
 };
 
-/// RAII wall-clock span. Captures the enabled flag at construction; when
-/// tracing is off the whole object is one atomic load.
+/// RAII wall-clock span. A span without a stage captures the enabled flag
+/// at construction and, while tracing is off, is one atomic load. A stage
+/// scope is always timed (see the file comment).
 class Span {
  public:
-  Span(const char* name, const char* cat) {
+  Span(const char* name, const char* cat) : name_(name), cat_(cat) {
     Tracer& t = Tracer::global();
-    if (!t.enabled()) return;
-    begin(t, name, cat);
+    if (t.enabled()) begin(&t);
+  }
+  Span(live::Stage stage, const char* name, const char* cat)
+      : name_(name), cat_(cat), stage_(stage), staged_(true) {
+    Tracer& t = Tracer::global();
+    begin(t.enabled() ? &t : nullptr);
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
-  ~Span() { if (tracer_ != nullptr) end(); }
+  ~Span() {
+    if (timing_) stop();
+  }
 
+  /// True while the span will emit a trace event.
   bool active() const noexcept { return tracer_ != nullptr; }
+
+  /// End the span now: the one duration goes to the profiler (stage
+  /// scopes, profiler armed) and the trace (tracing on), and is returned
+  /// in microseconds. Returns 0 on later calls, and for a span without a
+  /// stage that is not tracing.
+  double stop();
 
   /// Attach args (no-ops when inactive).
   void arg(const char* key, std::int64_t v);
@@ -133,13 +162,19 @@ class Span {
   void arg(const char* key, std::string_view v);
 
  private:
-  void begin(Tracer& t, const char* name, const char* cat);
-  void end();
+  void begin(Tracer* t) noexcept {
+    tracer_ = t;
+    timing_ = true;
+    start_ = std::chrono::steady_clock::now();
+  }
 
   Tracer* tracer_ = nullptr;
-  double start_us_ = 0.0;
   const char* name_ = nullptr;
   const char* cat_ = nullptr;
+  live::Stage stage_ = live::Stage::kPrepare;
+  bool staged_ = false;
+  bool timing_ = false;
+  std::chrono::steady_clock::time_point start_{};
   std::string args_;
 };
 
@@ -156,17 +191,15 @@ void json_escape(std::string_view s, std::string& out);
 
 }  // namespace gt::obs
 
-// Scoped-span macros: compile to nothing under GT_OBS_DISABLE so a
-// latency-critical build can prove zero instrumentation cost.
-#define GT_OBS_CONCAT_INNER_(a, b) a##b
-#define GT_OBS_CONCAT_(a, b) GT_OBS_CONCAT_INNER_(a, b)
+// Scoped-span macros: under GT_OBS_DISABLE each expands to one empty
+// declaration (so it also works as an unbraced loop body), which a
+// latency-critical build uses to prove zero instrumentation cost.
 #ifndef GT_OBS_DISABLE
-#define GT_OBS_SCOPE(name, cat) \
-  ::gt::obs::Span GT_OBS_CONCAT_(gt_obs_span_, __LINE__)(name, cat)
 #define GT_OBS_SCOPE_N(var, name, cat) ::gt::obs::Span var(name, cat)
+#define GT_OBS_STAGE(var, stage, name, cat) \
+  ::gt::obs::Span var(::gt::obs::live::Stage::stage, name, cat)
 #else
-#define GT_OBS_SCOPE(name, cat) ((void)0)
-#define GT_OBS_SCOPE_N(var, name, cat) \
-  ::gt::obs::NullSpan var;             \
-  (void)var
+#define GT_OBS_SCOPE_N(var, name, cat) [[maybe_unused]] ::gt::obs::NullSpan var
+#define GT_OBS_STAGE(var, stage, name, cat) \
+  [[maybe_unused]] ::gt::obs::NullSpan var
 #endif

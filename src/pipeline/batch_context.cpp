@@ -10,6 +10,7 @@ void BatchContext::begin_batch() {
   preproc_.clear_for_reuse();
   prefetch_armed_ = false;
   cache_hierarchy_ = nullptr;
+  host_prepare_us_ = 0.0;
   alloc_snapshot_ = arena_.stats().allocations;
   growth_snapshot_ = arena_.stats().growths;
   ++batches_begun_;

@@ -40,8 +40,9 @@ class BatchContext {
   BatchContext& operator=(const BatchContext&) = delete;
 
   /// Rewind for a fresh batch: the arena resets, the hash table clears,
-  /// the result counters zero. All capacity is kept, and the per-batch
-  /// arena baselines (allocations/growths) are snapshotted.
+  /// the result counters and the prepare time zero. All capacity is kept,
+  /// and the per-batch arena baselines (allocations/growths) are
+  /// snapshotted.
   void begin_batch();
 
   Arena& arena() noexcept { return arena_; }
@@ -58,6 +59,12 @@ class BatchContext {
   std::vector<std::uint32_t>& labels() noexcept { return labels_; }
 
   std::uint64_t batches_begun() const noexcept { return batches_begun_; }
+
+  /// Host wall-clock µs of this batch's prepare phase, recorded by
+  /// Framework::prepare_batch for execute_prepared to report. Zeroed by
+  /// begin_batch().
+  void set_host_prepare_us(double us) noexcept { host_prepare_us_ = us; }
+  double host_prepare_us() const noexcept { return host_prepare_us_; }
 
   /// Arena allocations made since the last begin_batch(). Batch-intrinsic:
   /// identical no matter which context (or how many workers) ran the
@@ -127,6 +134,7 @@ class BatchContext {
   std::uint64_t prefetch_batch_ = 0;
 
   std::uint64_t batches_begun_ = 0;
+  double host_prepare_us_ = 0.0;
   std::uint64_t alloc_snapshot_ = 0;
   std::uint64_t growth_snapshot_ = 0;
 };

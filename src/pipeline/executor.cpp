@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "fault/fault.hpp"
-#include "obs/live/worker_profiler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -60,21 +59,18 @@ void PreprocExecutor::run_serial_into(std::span<const Vid> batch_vids,
   scratch.layer_coo.resize(num_layers_);
   out.layers.resize(num_layers_);
   {
-    GT_OBS_SCOPE("S.sample", "sampling");
-    GT_LIVE_STAGE(kSample);
+    GT_OBS_STAGE(s_span, kSample, "S.sample", "sampling");
     sampler_.sample_into(batch_vids, num_layers_, table, out.batch);
   }
   for (std::uint32_t l = 0; l < num_layers_; ++l) {
     fault::check(fault::Site::kPreprocReindex, l);
-    GT_OBS_SCOPE_N(r_span, "R.layer", "reindex");
+    GT_OBS_STAGE(r_span, kReindex, "R.layer", "reindex");
     r_span.arg("layer", static_cast<std::int64_t>(l));
-    GT_LIVE_STAGE(kReindex);
     sampling::reindex_layer_into(out.batch, table, l, formats_, out.layers[l],
                                  scratch.layer_coo[l]);
   }
   {
-    GT_OBS_SCOPE("K.lookup", "lookup");
-    GT_LIVE_STAGE(kLookup);
+    GT_OBS_STAGE(k_span, kLookup, "K.lookup", "lookup");
     out.embeddings.resize(out.batch.vid_order.size(), lookup_.table().dim());
     lookup_.gather_chunk(out.batch.vid_order, 0, out.batch.vid_order.size(),
                          out.embeddings);
@@ -87,24 +83,14 @@ void PreprocExecutor::run_serial_into(std::span<const Vid> batch_vids,
 PreprocResult PreprocExecutor::run_parallel(std::span<const Vid> batch_vids,
                                             ThreadPool& pool,
                                             std::size_t chunks) const {
-  PreprocResult result;
+  PreprocResult out;
   VidHashTable table;
   PreprocScratch scratch;
-  run_parallel_into(batch_vids, pool, chunks, table, result, scratch);
-  return result;
-}
-
-void PreprocExecutor::run_parallel_into(std::span<const Vid> batch_vids,
-                                        ThreadPool& pool, std::size_t chunks,
-                                        VidHashTable& table,
-                                        PreprocResult& out,
-                                        PreprocScratch& scratch) const {
   if (chunks == 0) chunks = 1;
   fault::check(fault::Site::kPreprocSample);
   GT_OBS_SCOPE_N(span, "preproc.run_parallel", "preproc");
   span.arg("batch_size", static_cast<std::int64_t>(batch_vids.size()));
   span.arg("chunks", static_cast<std::int64_t>(chunks));
-  out.clear_for_reuse();
   scratch.layer_coo.resize(num_layers_);
   scratch.chunk_edges.resize(chunks);
   out.layers.resize(num_layers_);
@@ -137,10 +123,9 @@ void PreprocExecutor::run_parallel_into(std::span<const Vid> batch_vids,
         0, frontier.size(), chunks,
         [this, &frontier, &scratch, h](std::size_t c, std::size_t lo,
                                        std::size_t hi) {
-          GT_OBS_SCOPE_N(a_span, "S.A", "sampling");
+          GT_OBS_STAGE(a_span, kSample, "S.A", "sampling");
           a_span.arg("hop", static_cast<std::int64_t>(h));
           a_span.arg("vertices", static_cast<std::int64_t>(hi - lo));
-          GT_LIVE_STAGE(kSample);
           sampler_.choose_neighbors_into(
               std::span(frontier).subspan(lo, hi - lo), h,
               scratch.chunk_edges[c]);
@@ -151,9 +136,8 @@ void PreprocExecutor::run_parallel_into(std::span<const Vid> batch_vids,
     edges.dst.clear();
     for (const HopEdges& chunk : scratch.chunk_edges) {
       if (chunk.src.empty()) continue;
-      GT_OBS_SCOPE_N(h_span, "S.H", "sampling");
+      GT_OBS_STAGE(h_span, kSample, "S.H", "sampling");
       h_span.arg("hop", static_cast<std::int64_t>(h));
-      GT_LIVE_STAGE(kSample);
       sampling::NeighborSampler::insert_vertices(table, chunk);
       edges.src.insert(edges.src.end(), chunk.src.begin(), chunk.src.end());
       edges.dst.insert(edges.dst.end(), chunk.dst.begin(), chunk.dst.end());
@@ -177,9 +161,8 @@ void PreprocExecutor::run_parallel_into(std::span<const Vid> batch_vids,
                     [this, &sb, &table, &out, &scratch](
                         std::size_t, std::size_t lo, std::size_t hi) {
                       for (std::size_t l = lo; l < hi; ++l) {
-                        GT_OBS_SCOPE_N(r_span, "R.layer", "reindex");
+                        GT_OBS_STAGE(r_span, kReindex, "R.layer", "reindex");
                         r_span.arg("layer", static_cast<std::int64_t>(l));
-                        GT_LIVE_STAGE(kReindex);
                         sampling::reindex_layer_into(
                             sb, table, static_cast<std::uint32_t>(l),
                             formats_, out.layers[l], scratch.layer_coo[l]);
@@ -191,9 +174,8 @@ void PreprocExecutor::run_parallel_into(std::span<const Vid> batch_vids,
   pool.parallel_for(0, sb.vid_order.size(), chunks,
                     [this, &sb, &out](std::size_t, std::size_t lo,
                                       std::size_t hi) {
-                      GT_OBS_SCOPE_N(k_span, "K.chunk", "lookup");
+                      GT_OBS_STAGE(k_span, kLookup, "K.chunk", "lookup");
                       k_span.arg("rows", static_cast<std::int64_t>(hi - lo));
-                      GT_LIVE_STAGE(kLookup);
                       lookup_.gather_chunk(sb.vid_order, lo, hi,
                                            out.embeddings);
                     });
@@ -201,6 +183,7 @@ void PreprocExecutor::run_parallel_into(std::span<const Vid> batch_vids,
   out.hash_acquisitions = table.lock_acquisitions();
   out.hash_contended = table.contended_acquisitions();
   record_preproc_metrics(out);
+  return out;
 }
 
 }  // namespace gt::pipeline

@@ -8,11 +8,16 @@
 // tests enforce it. Real hash-table contention counters are reported for
 // the Fig 14 measurements.
 //
-// Both executors come in two forms: the owning run_serial/run_parallel
-// (fresh hash table and result per call) and the context-backed
-// run_serial_into/run_parallel_into, which fill a caller-held
-// PreprocResult + VidHashTable + PreprocScratch so the steady-state batch
-// loop reuses every buffer (gt::BatchContext owns that trio).
+// The serial executor comes in two forms: the owning run_serial (fresh hash
+// table and result per call) and the context-backed run_serial_into, which
+// fills a caller-held PreprocResult + VidHashTable + PreprocScratch so the
+// steady-state batch loop reuses every buffer (gt::BatchContext owns that
+// trio). The threaded run_parallel is owning only; it is the source of
+// Fig 14's real-thread lock counts.
+//
+// Each S/R/K step runs inside a stage scope (GT_OBS_STAGE, obs/trace.hpp):
+// one clock pair per step feeds the WorkerProfiler and, while tracing, the
+// span of the same name. In run_parallel the scopes run on pool threads.
 #pragma once
 
 #include <cstdint>
@@ -77,12 +82,6 @@ class PreprocExecutor {
   /// allocation. `table` must be clear()ed by the caller.
   void run_serial_into(std::span<const Vid> batch_vids, sampling::VidHashTable& table,
                        PreprocResult& out, PreprocScratch& scratch) const;
-
-  /// Context-backed run_parallel; same determinism contract as
-  /// run_parallel (bit-identical to serial).
-  void run_parallel_into(std::span<const Vid> batch_vids, ThreadPool& pool,
-                         std::size_t chunks, sampling::VidHashTable& table,
-                         PreprocResult& out, PreprocScratch& scratch) const;
 
  private:
   const Csr& graph_;

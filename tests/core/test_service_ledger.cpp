@@ -48,6 +48,9 @@ void expect_near_rel(double actual, double expect, double rel_tol,
 }
 
 TEST(ServiceLedger, WritesConsistentArtifactOnDestruction) {
+#ifdef GT_OBS_DISABLE
+  GTEST_SKIP() << "GT_OBS_DISABLE compiles the kernel ledger's arming away";
+#endif
   const std::string path = fresh_path("artifact");
   ServiceOptions opt = base_options();
   opt.kernel_ledger_out = path;

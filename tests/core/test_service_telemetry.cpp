@@ -4,6 +4,7 @@
 // arming telemetry must not change a single trained or priced value.
 #include "core/graphtensor.hpp"
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "fault/harness.hpp"
+#include "obs/live/worker_profiler.hpp"
 
 namespace gt {
 namespace {
@@ -179,6 +181,40 @@ TEST(ServiceTelemetry, ArmedRunBitIdenticalToOffRun) {
             fault::params_digest(armed.params()));
   EXPECT_DOUBLE_EQ(off.evaluate(2), armed.evaluate(2));
   std::filesystem::remove_all(dir);
+}
+
+// --- One host-time measurement per phase -------------------------------------
+
+// The reports' host phase fields and the profiler's phase totals are the
+// durations of the same two stage scopes, so they agree to rounding.
+TEST(ServiceTelemetry, HostPhaseFieldsSumToProfilerPhaseTotals) {
+  using obs::live::Stage;
+  for (const std::size_t workers : {1, 2}) {
+    SCOPED_TRACE(workers);
+    const std::string dir = fresh_dir("host_phases");
+    ServiceOptions opt = base_options();
+    opt.workers = workers;
+    opt.telemetry.out_dir = dir;
+    double prepare_us = 0.0, execute_us = 0.0;
+    std::array<std::uint64_t, obs::live::kNumStages> totals{};
+    {
+      GnnService service = make_service(opt);
+      for (const frameworks::RunReport& r : service.train_batches(6)) {
+        ASSERT_TRUE(r.ok());
+        prepare_us += r.host_prepare_us;
+        execute_us += r.host_execute_us;
+      }
+      totals = obs::live::WorkerProfiler::global().stage_totals();
+    }
+    const auto total_us = [&](Stage s) {
+      return static_cast<double>(totals[static_cast<std::size_t>(s)]) / 1e3;
+    };
+    EXPECT_GT(prepare_us, 0.0);
+    EXPECT_GT(execute_us, 0.0);
+    EXPECT_NEAR(prepare_us, total_us(Stage::kPrepare), 1e-9 * prepare_us);
+    EXPECT_NEAR(execute_us, total_us(Stage::kExecute), 1e-9 * execute_us);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST(ServiceTelemetry, NoTelemetryOptionsMeansNoLiveStack) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "fault/harness.hpp"
+#include "util/rng.hpp"
+
 namespace gt::fault {
 namespace {
 
@@ -64,6 +70,58 @@ TEST(FaultSpec, RejectsOverflowingIntegers) {
   const FaultPlan plan =
       FaultPlan::parse("preproc.sample@batch=18446744073709551615");
   EXPECT_EQ(plan.entries().at(0).batch, 18446744073709551615ull);
+}
+
+// Seeded mutations of real specs: every parse either yields a plan of
+// well-formed entries or throws the grammar's own std::invalid_argument.
+TEST(FaultSpec, SurvivesMutatedSpecs) {
+  std::vector<std::string> seeds = default_fault_specs();
+  seeds.push_back("preproc.sample@batch=2;gpusim.kernel@batch=5:always");
+  seeds.push_back("gpusim.kernel@batch=5:layer=1");
+  const std::string grammar_bytes = "@:=;0123456789";
+  Xoshiro256 rng(20261018);
+  std::size_t accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string spec = seeds[rng.uniform(seeds.size())];
+    const std::uint64_t mutations = 1 + rng.uniform(3);
+    for (std::uint64_t m = 0; m < mutations; ++m) {
+      const std::size_t at = rng.uniform(spec.size() + 1);
+      switch (rng.uniform(4)) {
+        case 0:  // truncate
+          spec.resize(at);
+          break;
+        case 1:  // overwrite one byte: a grammar byte or any value
+          if (!spec.empty())
+            spec[rng.uniform(spec.size())] =
+                rng.uniform(2) == 0
+                    ? grammar_bytes[rng.uniform(grammar_bytes.size())]
+                    : static_cast<char>(rng.uniform(256));
+          break;
+        case 2:  // duplicate a span in place
+          spec.insert(at, spec.substr(at, 1 + rng.uniform(24)));
+          break;
+        default:  // delete a span
+          spec.erase(at, 1 + rng.uniform(24));
+      }
+    }
+    try {
+      const FaultPlan plan = FaultPlan::parse(spec);
+      ++accepted;
+      for (const FaultEntry& e : plan.entries()) {
+        EXPECT_LT(static_cast<std::size_t>(e.site), kNumSites) << spec;
+        EXPECT_GE(e.times, 1u) << spec;
+        EXPECT_TRUE(e.kind != Kind::kOom || e.site == Site::kGpusimAlloc)
+            << spec;
+      }
+    } catch (const std::invalid_argument& ex) {
+      ++rejected;
+      EXPECT_EQ(std::string(ex.what()).rfind("fault spec:", 0), 0u)
+          << ex.what();
+    }
+  }
+  // The mutations must exercise both outcomes to mean anything.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 100u);
 }
 
 TEST(FaultCheck, NoScopeMeansNoOp) {

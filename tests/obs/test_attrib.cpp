@@ -192,6 +192,41 @@ LedgerData round_trip(LedgerTest& t, const char* tag, int n,
   return data;
 }
 
+// An integer field holding a hostile number fails the load with an error
+// that names the field; it must never reach a float-to-integer cast, which
+// is undefined behaviour out of range.
+TEST_F(LedgerTest, LoadRejectsNonIntegralOrOutOfRangeCounts) {
+  round_trip(*this, "hostile", 2);
+  std::ifstream in(temp_path("hostile"));
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string good = buf.str();
+  const std::string path = temp_path("hostile_edit");
+  cleanup_.push_back(path);
+  struct Field {
+    const char* needle;  // the writer's text just before the value
+    const char* name;    // what the error must mention
+  };
+  for (const Field f : {Field{"\"schema_version\": ", "schema_version"},
+                        Field{"\"batches\": ", "totals.batches"},
+                        Field{"\"residual\": {\"samples\": ",
+                              "costmodel.residual.samples"}}) {
+    for (const char* value : {"1e300", "-1", "1.5", "-5"}) {
+      std::string doc = good;
+      const std::size_t key = doc.find(f.needle);
+      ASSERT_NE(key, std::string::npos) << f.needle;
+      const std::size_t at = key + std::string(f.needle).size();
+      doc.replace(at, doc.find_first_of(",}", at) - at, value);
+      std::ofstream(path) << doc;
+      LedgerData data;
+      std::string err;
+      EXPECT_FALSE(LedgerData::load(path, &data, &err))
+          << f.name << " = " << value;
+      EXPECT_NE(err.find(f.name), std::string::npos) << err;
+    }
+  }
+}
+
 TEST_F(LedgerTest, IdenticalRunsAttributeToZero) {
   const LedgerData base = round_trip(*this, "ident", 4);
   ASSERT_EQ(base.batches, 4u);

@@ -18,6 +18,7 @@
 #include "obs/live/watchdog.hpp"
 #include "obs/live/worker_profiler.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/log.hpp"
 #include "json_checker.hpp"
 
@@ -104,7 +105,7 @@ TEST(EventLog, DisarmedEmitIsANoOp) {
   EventLog& log = EventLog::global();
   ASSERT_FALSE(log.armed());
   log.emit(Event(Severity::kInfo, "ignored"));  // must not crash or write
-  emit_event(Severity::kInfo, "ignored", "still disarmed");
+  log.emit(Event(Severity::kInfo, "ignored").msg("still disarmed"));
   EXPECT_FALSE(log.armed());
 }
 
@@ -245,14 +246,15 @@ TEST(WorkerProfiler, AccumulatesPerThreadSlots) {
   EXPECT_GE(prof.active_slots(), 2u);
 }
 
+// The stage timer is obs::Span's stage scope (obs/trace.hpp).
 TEST(WorkerProfiler, StageTimerNoOpWhenDisabled) {
   WorkerProfiler& prof = WorkerProfiler::global();
   prof.reset();
   prof.enable(false);
   {
-    StageTimer t(Stage::kLookup);
+    Span t(Stage::kLookup, "K.lookup", "lookup");
   }
-  { GT_LIVE_STAGE(kLookup); }
+  { GT_OBS_STAGE(span, kLookup, "K.lookup", "lookup"); }
   EXPECT_EQ(prof.stage_totals()[static_cast<std::size_t>(Stage::kLookup)],
             0u);
 }
@@ -262,7 +264,7 @@ TEST(WorkerProfiler, StageTimerRecordsWhenEnabled) {
   prof.reset();
   prof.enable(true);
   {
-    StageTimer t(Stage::kReindex);
+    Span t(Stage::kReindex, "R.layer", "reindex");
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   prof.enable(false);

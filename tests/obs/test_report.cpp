@@ -271,6 +271,36 @@ TEST(BenchReport, RejectsWrongSchemaVersion) {
   EXPECT_NE(err.find("schema"), std::string::npos) << err;
 }
 
+// An integer field holding a hostile number fails the load with an error
+// that names the field; it must never reach a float-to-integer cast, which
+// is undefined behaviour out of range.
+TEST(BenchReport, RejectsNonIntegralOrOutOfRangeIntegerFields) {
+  BenchReporter& r = fresh_global();
+  r.set_binary("unit_test");
+  r.add_row(row("latency", "products", "", 1.0, 1.0, "us"));
+  std::ostringstream os;
+  r.write_json(os);
+  r.clear();
+  const std::string good = os.str();
+  for (const char* key : {"schema_version", "threads", "iterations"}) {
+    for (const char* value : {"1e300", "-1", "1.5", "-5"}) {
+      std::string text = good;
+      const std::string needle = std::string("\"") + key + "\": ";
+      const std::size_t found = text.find(needle);
+      ASSERT_NE(found, std::string::npos) << key;
+      const std::size_t at = found + needle.size();
+      text.replace(at, text.find_first_of(",\n}", at) - at, value);
+      JsonValue doc;
+      std::string err;
+      ASSERT_TRUE(json_parse(text, &doc, &err)) << err;
+      BenchReport parsed;
+      EXPECT_FALSE(BenchReport::from_json(doc, &parsed, &err))
+          << key << " = " << value;
+      EXPECT_NE(err.find(key), std::string::npos) << err;
+    }
+  }
+}
+
 // A bench report is rows and metadata only, so a hook that holds just a
 // report path must leave span tracing off.
 TEST(ObsHook, BenchReportPathAloneLeavesTracingOff) {

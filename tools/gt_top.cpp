@@ -40,6 +40,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -406,16 +407,17 @@ int check(const std::string& dir) {
     c.require(ev.at("ts_ms").is_number() && ev.number_at("ts_ms") >= 0.0,
               where + ": ts_ms missing or negative");
     c.require(ev.at("tid").is_number(), where + ": tid missing");
-    c.require(ev.at("cid").is_number(), where + ": cid missing");
+    const std::optional<std::uint64_t> cid = ev.int_at<std::uint64_t>("cid");
+    c.require(cid.has_value(),
+              where + ": cid missing or not a non-negative integer");
     c.require(kSevs.count(ev.string_at("sev")) != 0,
               where + ": sev '" + ev.string_at("sev") + "' invalid");
     const std::string& type = ev.string_at("type");
     c.require(!type.empty(), where + ": type missing");
-    const std::uint64_t cid =
-        static_cast<std::uint64_t>(ev.number_at("cid"));
-    if (type == "fault.inject") fault_cids.insert(cid);
+    if (!cid) continue;
+    if (type == "fault.inject") fault_cids.insert(*cid);
     if (type == "service.retry" || type == "service.degraded")
-      needs_fault.emplace_back(type, cid);
+      needs_fault.emplace_back(type, *cid);
   }
 
   // Every retry/degradation must trace back to the fault injection that
