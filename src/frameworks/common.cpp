@@ -5,6 +5,7 @@
 #include "datasets/embedding.hpp"
 #include "fault/fault.hpp"
 #include "obs/attrib/kernel_ledger.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
@@ -101,8 +102,10 @@ void emit_sim_timeline(const RunReport& report, const gpusim::Device& dev,
     e.tid = obs::kSimTidGpu;
     e.ts_us = t;
     e.dur_us = k.latency_us;
-    e.args_json = "\"flops\":" + std::to_string(k.flops) +
-                  ",\"global_bytes\":" + std::to_string(k.global_bytes);
+    e.args_json = obs::JsonWriter::members()
+                      .member("flops", k.flops)
+                      .member("global_bytes", k.global_bytes)
+                      .take();
     tracer.emit(std::move(e));
     t += k.latency_us;
   }

@@ -7,25 +7,11 @@
 
 #include "obs/attrib/kernel_ledger.hpp"
 #include "obs/json.hpp"
-#include "obs/trace.hpp"
 #include "util/options.hpp"
 
 namespace gt::obs::attrib {
 
 namespace {
-
-void write_num(std::ostream& os, double v) {
-  if (!std::isfinite(v)) v = 0.0;
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  os << buf;
-}
-
-void write_str(std::ostream& os, std::string_view s) {
-  std::string out;
-  json_escape(s, out);
-  os << '"' << out << '"';
-}
 
 std::string fmt(double v) {
   char buf[40];
@@ -219,53 +205,29 @@ void write_text(const Attribution& a, std::ostream& os, std::size_t top_n) {
 }
 
 void write_json(const Attribution& a, std::ostream& os) {
-  os << "{\n  \"schema_version\": 1,\n";
-  os << "  \"end_to_end_us_per_batch\": {\"base\": ";
-  write_num(os, a.base_e2e_us);
-  os << ", \"current\": ";
-  write_num(os, a.cur_e2e_us);
-  os << ", \"delta\": ";
-  write_num(os, a.delta_e2e_us);
-  os << "},\n  \"stage_delta_sum_us\": ";
-  write_num(os, a.stage_delta_sum_us);
-  os << ",\n  \"kernel_delta_sum_us\": ";
-  write_num(os, a.kernel_delta_sum_us);
-  os << ",\n  \"stages\": [";
-  bool first = true;
+  JsonWriter w;
+  w.object().member("schema_version", 1);
+  w.key("end_to_end_us_per_batch").object(JsonWriter::kInline);
+  w.member("base", a.base_e2e_us).member("current", a.cur_e2e_us);
+  w.member("delta", a.delta_e2e_us).end();
+  w.member("stage_delta_sum_us", a.stage_delta_sum_us);
+  w.member("kernel_delta_sum_us", a.kernel_delta_sum_us);
+  w.key("stages").array();
   for (const StageDelta& s : a.stages) {
-    os << (first ? "\n" : ",\n") << "    {\"name\": ";
-    first = false;
-    write_str(os, s.name);
-    os << ", \"base_us\": ";
-    write_num(os, s.base_us);
-    os << ", \"current_us\": ";
-    write_num(os, s.cur_us);
-    os << ", \"delta_us\": ";
-    write_num(os, s.delta_us);
-    os << "}";
+    w.object(JsonWriter::kInline).member("name", s.name);
+    w.member("base_us", s.base_us).member("current_us", s.cur_us);
+    w.member("delta_us", s.delta_us).end();
   }
-  os << "\n  ],\n  \"kernels\": [";
-  first = true;
+  w.end().key("kernels").array();
   for (const KernelDelta& k : a.kernels) {
-    os << (first ? "\n" : ",\n") << "    {\"key\": ";
-    first = false;
-    write_str(os, k.key);
-    os << ", \"phase\": ";
-    write_str(os, k.phase);
-    os << ", \"base_us\": ";
-    write_num(os, k.base_us);
-    os << ", \"current_us\": ";
-    write_num(os, k.cur_us);
-    os << ", \"delta_us\": ";
-    write_num(os, k.delta_us);
-    os << "}";
+    w.object(JsonWriter::kInline).member("key", k.key);
+    w.member("phase", k.phase).member("base_us", k.base_us);
+    w.member("current_us", k.cur_us).member("delta_us", k.delta_us).end();
   }
-  os << (first ? "]" : "\n  ]") << ",\n";
-  os << "  \"costmodel_residual_p95_pct\": {\"base\": ";
-  write_num(os, a.base_residual_p95_pct);
-  os << ", \"current\": ";
-  write_num(os, a.cur_residual_p95_pct);
-  os << "}\n}\n";
+  w.end().key("costmodel_residual_p95_pct").object(JsonWriter::kInline);
+  w.member("base", a.base_residual_p95_pct);
+  w.member("current", a.cur_residual_p95_pct);
+  w.end().end().flush(os);
 }
 
 LedgerData perturb_largest_kernel(const LedgerData& base) {

@@ -5,34 +5,17 @@
 #include <cstdio>
 #include <fstream>
 
+#include "obs/json.hpp"
 #include "obs/live/event_log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/stats.hpp"
 
 namespace gt::obs::attrib {
 
 namespace {
 
-// %.10g: wide enough that re-parsed sums reproduce the invariant checks to
-// ~1e-6 relative, still a canonical shortest-ish form so identical
-// accumulations serialize byte-identically (house style elsewhere is %.6g;
-// the ledger is the one artifact whose numbers get *summed* downstream).
-void write_num(std::ostream& os, double v) {
-  if (!std::isfinite(v)) v = 0.0;
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  os << buf;
-}
-
-void write_str(std::ostream& os, std::string_view s) {
-  std::string out;
-  json_escape(s, out);
-  os << '"' << out << '"';
-}
-
-constexpr const char* kStageNames[4] = {"sampling", "reindex", "lookup",
-                                        "transfer"};
+constexpr const char* kStageKeys[4] = {"sampling_us", "reindex_us",
+                                       "lookup_us", "transfer_us"};
 
 }  // namespace
 
@@ -57,13 +40,7 @@ KernelLedger& KernelLedger::global() {
 void KernelLedger::arm(std::string out_path) {
   std::lock_guard<std::mutex> lock(mu_);
   out_path_ = std::move(out_path);
-  batches_ = 0;
-  sums_ = BatchTotals{};
-  preproc_parallel_us_ = 0.0;
-  overlap_hidden_us_ = 0.0;
-  kernels_.clear();
-  costmodel_.clear();
-  residual_pcts_.clear();
+  reset();
   armed_.store(true, std::memory_order_release);
 }
 
@@ -71,13 +48,7 @@ void KernelLedger::disarm() {
   std::lock_guard<std::mutex> lock(mu_);
   armed_.store(false, std::memory_order_release);
   out_path_.clear();
-  batches_ = 0;
-  sums_ = BatchTotals{};
-  preproc_parallel_us_ = 0.0;
-  overlap_hidden_us_ = 0.0;
-  kernels_.clear();
-  costmodel_.clear();
-  residual_pcts_.clear();
+  reset();
 }
 
 std::string KernelLedger::out_path() const {
@@ -87,6 +58,10 @@ std::string KernelLedger::out_path() const {
 
 void KernelLedger::clear() {
   std::lock_guard<std::mutex> lock(mu_);
+  reset();
+}
+
+void KernelLedger::reset() {
   batches_ = 0;
   sums_ = BatchTotals{};
   preproc_parallel_us_ = 0.0;
@@ -177,59 +152,34 @@ std::size_t KernelLedger::kernel_class_count() const {
 
 void KernelLedger::write_json(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
-  os << "{\n  \"schema_version\": " << kKernelLedgerSchemaVersion << ",\n";
-  os << "  \"meta\": {\"drift_threshold_pct\": ";
-  write_num(os, kCostModelDriftPct);
-  os << "},\n";
-
-  os << "  \"totals\": {\n";
-  os << "    \"batches\": " << batches_ << ",\n";
-  os << "    \"end_to_end_us\": ";
-  write_num(os, sums_.end_to_end_us);
-  os << ",\n    \"makespan_us\": ";
-  write_num(os, sums_.makespan_us);
-  os << ",\n";
-  for (int i = 0; i < 4; ++i) {
-    os << "    \"" << kStageNames[i] << "_us\": ";
-    write_num(os, sums_.stage_busy_us[i]);
-    os << ",\n";
-  }
-  os << "    \"preproc_parallel_us\": ";
-  write_num(os, preproc_parallel_us_);
-  os << ",\n    \"fwp_us\": ";
-  write_num(os, sums_.fwp_us);
-  os << ",\n    \"bwp_us\": ";
-  write_num(os, sums_.bwp_us);
-  os << ",\n    \"overlap_hidden_us\": ";
-  write_num(os, overlap_hidden_us_);
-  os << "\n  },\n";
-
-  os << "  \"kernels\": {";
-  bool first = true;
+  // %.10g: wide enough that re-parsed sums reproduce the invariant checks
+  // to ~1e-6 relative, still a canonical shortest-ish form so identical
+  // accumulations serialize byte-identically (house style elsewhere is
+  // %.6g; the ledger is the one artifact whose numbers get *summed*
+  // downstream).
+  JsonWriter w(JsonWriter::kPretty, 10);
+  w.object().member("schema_version", kKernelLedgerSchemaVersion);
+  w.key("meta").object(JsonWriter::kInline);
+  w.member("drift_threshold_pct", kCostModelDriftPct).end();
+  w.key("totals").object().member("batches", batches_);
+  w.member("end_to_end_us", sums_.end_to_end_us);
+  w.member("makespan_us", sums_.makespan_us);
+  for (int i = 0; i < 4; ++i) w.member(kStageKeys[i], sums_.stage_busy_us[i]);
+  w.member("preproc_parallel_us", preproc_parallel_us_);
+  w.member("fwp_us", sums_.fwp_us).member("bwp_us", sums_.bwp_us);
+  w.member("overlap_hidden_us", overlap_hidden_us_).end();
+  w.key("kernels").object();
   for (const auto& [key, cls] : kernels_) {
-    os << (first ? "\n" : ",\n") << "    ";
-    first = false;
-    write_str(os, key);
-    os << ": {\"name\": ";
-    write_str(os, cls.name);
-    os << ", \"category\": ";
-    write_str(os, cls.category);
-    os << ", \"phase\": ";
-    write_str(os, cls.phase);
-    os << ", \"shape\": ";
-    write_str(os, cls.shape);
-    if (cls.device >= 0) os << ", \"device\": " << cls.device;
-    os << ", \"blocks_min\": " << cls.blocks_min
-       << ", \"blocks_max\": " << cls.blocks_max
-       << ", \"launches\": " << cls.launches << ", \"total_us\": ";
-    write_num(os, cls.total_us);
-    os << ", \"flops\": ";
-    write_num(os, cls.flops);
-    os << ", \"global_bytes\": ";
-    write_num(os, cls.global_bytes);
-    os << "}";
+    w.key(key).object(JsonWriter::kInline).member("name", cls.name);
+    w.member("category", cls.category).member("phase", cls.phase);
+    w.member("shape", cls.shape);
+    if (cls.device >= 0) w.member("device", cls.device);
+    w.member("blocks_min", cls.blocks_min);
+    w.member("blocks_max", cls.blocks_max);
+    w.member("launches", cls.launches).member("total_us", cls.total_us);
+    w.member("flops", cls.flops).member("global_bytes", cls.global_bytes);
+    w.end();
   }
-  os << (first ? "}" : "\n  }") << ",\n";
 
   // Residual distribution over the per-sample pcts recorded here (matches
   // DkpCostModel::residual_summary on the same stream).
@@ -242,29 +192,17 @@ void KernelLedger::write_json(std::ostream& os) const {
     for (double e : errs) mean += e;
     mean /= static_cast<double>(errs.size());
   }
-  os << "  \"costmodel\": {\n    \"classes\": {";
-  first = true;
+  w.end().key("costmodel").object().key("classes").object();
   for (const auto& [key, cls] : costmodel_) {
-    os << (first ? "\n" : ",\n") << "      ";
-    first = false;
-    write_str(os, key);
-    os << ": {\"samples\": " << cls.samples
-       << ", \"fitted_samples\": " << cls.fitted_samples
-       << ", \"predicted_us\": ";
-    write_num(os, cls.predicted_us);
-    os << ", \"measured_us\": ";
-    write_num(os, cls.measured_us);
-    os << "}";
+    w.key(key).object(JsonWriter::kInline).member("samples", cls.samples);
+    w.member("fitted_samples", cls.fitted_samples);
+    w.member("predicted_us", cls.predicted_us);
+    w.member("measured_us", cls.measured_us).end();
   }
-  os << (first ? "}" : "\n    }") << ",\n";
-  os << "    \"residual\": {\"samples\": " << residual_pcts_.size()
-     << ", \"p50_pct\": ";
-  write_num(os, p50);
-  os << ", \"p95_pct\": ";
-  write_num(os, p95);
-  os << ", \"mean_pct\": ";
-  write_num(os, mean);
-  os << "}\n  }\n}\n";
+  w.end().key("residual").object(JsonWriter::kInline);
+  w.member("samples", residual_pcts_.size()).member("p50_pct", p50);
+  w.member("p95_pct", p95).member("mean_pct", mean);
+  w.end().end().end().flush(os);
 }
 
 bool KernelLedger::write_json_file(const std::string& path) const {

@@ -115,8 +115,9 @@ class KernelLedger {
   std::size_t batch_count() const;
   std::size_t kernel_class_count() const;
 
-  /// Dump the schema-versioned kernels.json. Keys sorted, fixed float
-  /// format — byte-identical for identical accumulations.
+  /// Dump the schema-versioned kernels.json through obs::JsonWriter. Keys
+  /// sorted, doubles as %.10g (a non-finite one as null) — byte-identical
+  /// for identical accumulations.
   void write_json(std::ostream& os) const;
   bool write_json_file(const std::string& path) const;
   /// Write to the path given at arm() time; false when disarmed/IO error.
@@ -138,6 +139,8 @@ class KernelLedger {
     double predicted_us = 0.0;
     double measured_us = 0.0;
   };
+
+  void reset();  // drop the accumulation; the caller holds mu_
 
   std::atomic<bool> armed_{false};
   mutable std::mutex mu_;

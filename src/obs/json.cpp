@@ -1,6 +1,8 @@
 #include "obs/json.hpp"
 
+#include <cassert>
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -253,6 +255,163 @@ bool json_parse_file(const std::string& path, JsonValue* out,
   std::ostringstream buf;
   buf << f.rdbuf();
   return json_parse(buf.str(), out, error);
+}
+
+// ---- JsonWriter -------------------------------------------------------------
+
+namespace {
+
+/// Append `s` to `out` as the inside of a JSON string literal.
+void json_escape(std::string_view s, std::string& out) {
+  for (char c : s) {
+    switch (c) {
+      case '"':  out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char hex[8];
+          std::snprintf(hex, sizeof hex, "\\u%04x", c);
+          out += hex;
+        } else {
+          out += c;
+        }
+    }
+  }
+}
+
+}  // namespace
+
+JsonWriter::JsonWriter(Style style, int digits)
+    : style_(style), digits_(digits) {
+  assert(digits >= 1 && digits <= 17 && "significant digits of a double");
+}
+
+JsonWriter JsonWriter::members(std::string fragment) {
+  JsonWriter w(kCompact);
+  w.out_ = std::move(fragment);
+  w.stack_[0] = Frame{true, true};
+  w.depth_ = 1;
+  w.empty_ = w.out_.empty();
+  w.fragment_ = true;
+  return w;
+}
+
+void JsonWriter::separate() {
+  if (!empty_) out_ += ',';
+  if (style_ == kPretty) {
+    if (!stack_[depth_ - 1].inline_) {
+      out_ += '\n';
+      out_.append(2 * static_cast<std::size_t>(depth_), ' ');
+    } else if (!empty_) {
+      out_ += ' ';
+    }
+  }
+  empty_ = false;
+}
+
+void JsonWriter::begin_value() {
+  if (depth_ == 0) {
+    assert(!done_ && "a document holds one top-level value");
+    return;
+  }
+  if (stack_[depth_ - 1].object) {
+    assert(after_key_ && "an object member needs a key first");
+    after_key_ = false;
+    return;
+  }
+  separate();
+}
+
+void JsonWriter::end_value() {
+  if (depth_ > 0) return;
+  done_ = true;
+  if (style_ == kPretty) out_ += '\n';
+}
+
+JsonWriter& JsonWriter::open(bool object, Layout layout) {
+  begin_value();
+  assert(depth_ < kMaxDepth && "JsonWriter nesting too deep");
+  const bool in_inline = depth_ > 0 && stack_[depth_ - 1].inline_;
+  stack_[depth_++] = Frame{object, layout == kInline || in_inline};
+  empty_ = true;
+  out_ += object ? '{' : '[';
+  return *this;
+}
+
+JsonWriter& JsonWriter::object(Layout layout) { return open(true, layout); }
+
+JsonWriter& JsonWriter::array(Layout layout) { return open(false, layout); }
+
+JsonWriter& JsonWriter::end() {
+  assert(depth_ > 0 && !(fragment_ && depth_ == 1) &&
+         "end() with no container open");
+  assert(!after_key_ && "a key has no value");
+  const Frame f = stack_[--depth_];
+  if (style_ == kPretty && !f.inline_ && !empty_) {
+    out_ += '\n';
+    out_.append(2 * static_cast<std::size_t>(depth_), ' ');
+  }
+  out_ += f.object ? '}' : ']';
+  empty_ = false;  // the closed container is a member of its parent
+  end_value();
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view k) {
+  assert(depth_ > 0 && stack_[depth_ - 1].object && "key() outside an object");
+  assert(!after_key_ && "two keys in a row");
+  separate();
+  out_ += '"';
+  json_escape(k, out_);
+  out_ += style_ == kPretty ? "\": " : "\":";
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view s) {
+  begin_value();
+  out_ += '"';
+  json_escape(s, out_);
+  out_ += '"';
+  end_value();
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(double v) {
+  if (!std::isfinite(v)) return raw("null");
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof buf, "%.*g", digits_, v);
+  return raw(std::string_view(buf, static_cast<std::size_t>(n)));
+}
+
+JsonWriter& JsonWriter::fixed(double v, int decimals) {
+  if (!std::isfinite(v)) return raw("null");
+  assert(decimals >= 0 && decimals <= 9);
+  char buf[328];  // the 309 integer digits of DBL_MAX fit
+  const int n = std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
+  return raw(std::string_view(buf, static_cast<std::size_t>(n)));
+}
+
+JsonWriter& JsonWriter::raw(std::string_view rendered) {
+  begin_value();
+  out_ += rendered;
+  end_value();
+  return *this;
+}
+
+JsonWriter& JsonWriter::flush(std::ostream& os) {
+  os.write(out_.data(), static_cast<std::streamsize>(out_.size()));
+  out_.clear();
+  return *this;
+}
+
+std::string JsonWriter::take() {
+  assert(!after_key_ && (fragment_ ? depth_ == 1 : done_) &&
+         "take() of an unfinished document");
+  return std::move(out_);
 }
 
 }  // namespace gt::obs

@@ -1,18 +1,30 @@
-// Minimal RFC 8259 JSON value tree + recursive-descent parser.
+// The obs layer's one JSON encoder and one JSON parser.
 //
-// The obs layer emits JSON (Chrome traces, metrics dumps, bench reports)
-// and — since the bench_diff regression gate — must also read its own
-// reports back. This parser accepts exactly the JSON grammar and nothing
-// else; it exists so the repo keeps its zero-external-dependency rule.
-// Documents are small (bench reports are a few KiB), so the tree is a
-// plain recursive variant with no arena tricks.
+// JsonWriter writes every obs artifact: the Chrome trace, the metrics
+// dump, telemetry snapshots, event-log lines, bench reports, kernels.json
+// and the two tools' --json output. It owns escaping, number formatting,
+// separators and indentation, so an artifact's code states only its
+// structure, and a non-finite number prints as null, so every artifact
+// parses.
+//
+// The parser is a minimal RFC 8259 value tree plus recursive descent: the
+// tools read the repo's own reports back (bench_diff, gt_explain, gt_top).
+// It accepts exactly the JSON grammar and nothing else; it exists so the
+// repo keeps its zero-external-dependency rule. Documents are small (bench
+// reports are a few KiB), so the tree is a plain recursive variant with no
+// arena tricks.
 #pragma once
 
+#include <array>
+#include <charconv>
 #include <cmath>
+#include <concepts>
+#include <cstddef>
 #include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -126,5 +138,93 @@ JsonValue json_parse_or_null(std::string_view text);
 /// Read and parse a whole file; false on IO or parse failure.
 bool json_parse_file(const std::string& path, JsonValue* out,
                      std::string* error = nullptr);
+
+/// Streaming JSON encoder. Callers state the structure; the writer emits
+/// the bytes:
+///
+///   JsonWriter w;
+///   w.object().member("schema_version", 1).key("rows").array();
+///   for (const Row& r : rows)
+///     w.object(JsonWriter::kInline).member("x", r.x).end();
+///   w.end().end().flush(os);
+///
+/// Two styles. kPretty: each member of a block container sits on its own
+/// line, indented two spaces per level, as `"key": value`; an inline
+/// container (and everything opened inside it) stays on one line with
+/// `, ` between members; an empty container prints `{}` or `[]`; a
+/// finished document ends with a newline. kCompact: one line with no
+/// whitespace, for event-log lines and span-arg / event-field fragments.
+///
+/// Integers print exactly, doubles as %.<digits>g (6 unless the
+/// constructor says otherwise), and a NaN or infinity as null. Misuse —
+/// end() with nothing open, key() outside an object, a value where a key
+/// is due, a second top-level value — is a programming error and asserts.
+class JsonWriter {
+ public:
+  enum Style { kPretty, kCompact };
+  enum Layout { kBlock, kInline };
+
+  explicit JsonWriter(Style style = kPretty, int digits = 6);
+
+  /// A compact writer that continues `fragment`, a brace-less member list
+  /// such as `"k":1,"s":"v"` (or empty): the next key() appends one more
+  /// member, and take() returns the longer list.
+  static JsonWriter members(std::string fragment = {});
+
+  JsonWriter& object(Layout layout = kBlock);
+  JsonWriter& array(Layout layout = kBlock);
+  /// Close the innermost open object or array.
+  JsonWriter& end();
+
+  JsonWriter& key(std::string_view k);
+  JsonWriter& value(std::string_view s);
+  JsonWriter& value(const char* s) { return value(std::string_view(s)); }
+  JsonWriter& value(bool b) { return raw(b ? "true" : "false"); }
+  JsonWriter& value(double v);
+  template <std::integral T>
+    requires(!std::same_as<T, bool>)
+  JsonWriter& value(T v) {
+    char buf[24];
+    const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+    return raw(std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
+  }
+  template <typename T>
+  JsonWriter& member(std::string_view k, const T& v) {
+    return key(k).value(v);
+  }
+  /// `v` with exactly `decimals` digits after the point (%.<decimals>f):
+  /// the trace's and the event log's microsecond/millisecond stamps.
+  JsonWriter& fixed(double v, int decimals);
+  /// Splice an already-rendered JSON value.
+  JsonWriter& raw(std::string_view rendered);
+
+  /// Move the text rendered so far to `os`. The writer keeps its place in
+  /// the document, so a large one never sits in memory whole.
+  JsonWriter& flush(std::ostream& os);
+  /// The rendered text: a finished document, or a members() fragment.
+  std::string take();
+
+ private:
+  static constexpr int kMaxDepth = 32;
+  struct Frame {
+    bool object = false;
+    bool inline_ = false;
+  };
+
+  JsonWriter& open(bool object, Layout layout);
+  void begin_value();  // the separator or key check a value needs first
+  void separate();     // the separator before a member or element
+  void end_value();    // a value is complete: close the document at depth 0
+
+  std::string out_;
+  std::array<Frame, kMaxDepth> stack_{};
+  int depth_ = 0;
+  bool empty_ = true;      // the innermost container has no member yet
+  bool after_key_ = false; // a key awaits its value
+  bool done_ = false;      // the top-level value is complete
+  bool fragment_ = false;  // stack_[0] is a brace-less members() list
+  Style style_;
+  int digits_;
+};
 
 }  // namespace gt::obs

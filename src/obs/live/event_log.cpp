@@ -1,8 +1,6 @@
 #include "obs/live/event_log.hpp"
 
-#include <cinttypes>
-
-#include "obs/trace.hpp"  // json_escape
+#include "obs/json.hpp"
 #include "util/log.hpp"
 
 namespace gt::obs::live {
@@ -10,12 +8,6 @@ namespace gt::obs::live {
 namespace {
 
 thread_local std::uint64_t t_correlation = 0;
-
-void append_number(std::string& out, double v) {
-  char num[48];
-  std::snprintf(num, sizeof num, "%.6g", v);
-  out += num;
-}
 
 /// gt::log sink: free-text lines become type="log" events so both streams
 /// share the clock, thread ids, and correlation ids.
@@ -53,72 +45,38 @@ Event::Event(Severity sev, std::string_view type)
     : sev_(sev), type_(type) {}
 
 Event& Event::msg(std::string_view m) {
-  msg_.clear();
-  json_escape(m, msg_);
+  msg_ = m;
   return *this;
 }
 
 Event& Event::field(const char* key, std::int64_t v) {
-  if (!fields_.empty()) fields_ += ',';
-  fields_ += '"';
-  json_escape(key, fields_);
-  fields_ += "\":";
-  fields_ += std::to_string(v);
+  fields_ = JsonWriter::members(std::move(fields_)).member(key, v).take();
   return *this;
 }
 
 Event& Event::field(const char* key, std::uint64_t v) {
-  if (!fields_.empty()) fields_ += ',';
-  fields_ += '"';
-  json_escape(key, fields_);
-  fields_ += "\":";
-  fields_ += std::to_string(v);
+  fields_ = JsonWriter::members(std::move(fields_)).member(key, v).take();
   return *this;
 }
 
 Event& Event::field(const char* key, double v) {
-  if (!fields_.empty()) fields_ += ',';
-  fields_ += '"';
-  json_escape(key, fields_);
-  fields_ += "\":";
-  append_number(fields_, v);
+  fields_ = JsonWriter::members(std::move(fields_)).member(key, v).take();
   return *this;
 }
 
 Event& Event::field(const char* key, std::string_view v) {
-  if (!fields_.empty()) fields_ += ',';
-  fields_ += '"';
-  json_escape(key, fields_);
-  fields_ += "\":\"";
-  json_escape(v, fields_);
-  fields_ += '"';
+  fields_ = JsonWriter::members(std::move(fields_)).member(key, v).take();
   return *this;
 }
 
 std::string Event::render() const {
-  std::string line;
-  line.reserve(96 + msg_.size() + fields_.size());
-  char head[96];
-  std::snprintf(head, sizeof head,
-                "{\"ts_ms\":%.3f,\"tid\":%u,\"cid\":%" PRIu64 ",\"sev\":\"%s\"",
-                log_uptime_ms(), log_thread_index(), t_correlation,
-                to_string(sev_));
-  line += head;
-  line += ",\"type\":\"";
-  json_escape(type_, line);
-  line += '"';
-  if (!msg_.empty()) {
-    line += ",\"msg\":\"";
-    line += msg_;  // pre-escaped
-    line += '"';
-  }
-  if (!fields_.empty()) {
-    line += ",\"fields\":{";
-    line += fields_;
-    line += '}';
-  }
-  line += '}';
-  return line;
+  JsonWriter w(JsonWriter::kCompact);
+  w.object().key("ts_ms").fixed(log_uptime_ms(), 3);
+  w.member("tid", log_thread_index()).member("cid", t_correlation);
+  w.member("sev", to_string(sev_)).member("type", type_);
+  if (!msg_.empty()) w.member("msg", msg_);
+  if (!fields_.empty()) w.key("fields").raw("{" + fields_ + "}");
+  return w.end().take();
 }
 
 // ---- EventLog ---------------------------------------------------------------

@@ -63,9 +63,11 @@ class CorrelationScope {
 };
 
 /// One event under construction. Builder-style: severity and type are
-/// fixed at construction; message and typed fields chain. Rendering is
-/// eager (pre-escaped JSON fragments), so a discarded event on a
-/// disarmed log costs only the string appends.
+/// fixed at construction; message and typed fields chain. Each field is
+/// rendered eagerly onto a brace-less member list
+/// (obs::JsonWriter::members) and the message is kept raw; render()
+/// writes the line in the writer's compact style and escapes the message.
+/// A discarded event on a disarmed log costs only the string appends.
 class Event {
  public:
   Event(Severity sev, std::string_view type);
@@ -85,7 +87,7 @@ class Event {
   Severity sev_;
   std::string type_;
   std::string msg_;
-  std::string fields_;  // pre-rendered "\"k\":v,..." members, no braces
+  std::string fields_;  // rendered members `"k":v,...`, no braces
 };
 
 class EventLog {

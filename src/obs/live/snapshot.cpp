@@ -10,10 +10,10 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/json.hpp"
 #include "obs/live/event_log.hpp"
 #include "obs/live/watchdog.hpp"
 #include "obs/live/worker_profiler.hpp"
-#include "obs/trace.hpp"
 #include "util/log.hpp"
 
 namespace gt::obs::live {
@@ -147,83 +147,30 @@ bool TelemetrySnapshotter::emit(const SnapshotSample& cur) {
   return true;
 }
 
-namespace {
-
-void write_number(std::ostream& os, double v) {
-  char num[48];
-  std::snprintf(num, sizeof num, "%.6g", v);
-  os << num;
-}
-
-void write_key(std::ostream& os, const std::string& name) {
-  std::string escaped;
-  json_escape(name, escaped);
-  os << '"' << escaped << "\":";
-}
-
-}  // namespace
-
 void TelemetrySnapshotter::write_snapshot(const SnapshotSample& cur,
                                           std::ostream& os) const {
-  os << "{\n  \"schema_version\": " << kSnapshotSchemaVersion
-     << ",\n  \"seq\": " << cur.seq << ",\n  \"ts_ms\": ";
-  write_number(os, cur.ts_ms);
-  os << ",\n  \"batches\": " << cur.batches
-     << ",\n  \"interval\": " << opt_.interval;
-
-  os << ",\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, v] : cur.counters) {
-    os << (first ? "\n    " : ",\n    ");
-    first = false;
-    write_key(os, name);
-    os << v;
-  }
-  os << "\n  },\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, v] : cur.gauges) {
-    os << (first ? "\n    " : ",\n    ");
-    first = false;
-    write_key(os, name);
-    write_number(os, v);
-  }
-
-  os << "\n  },\n  \"rates\": {";
-  first = true;
+  JsonWriter w;
+  w.object().member("schema_version", kSnapshotSchemaVersion);
+  w.member("seq", cur.seq).member("ts_ms", cur.ts_ms);
+  w.member("batches", cur.batches).member("interval", opt_.interval);
+  w.key("counters").object();
+  for (const auto& [name, v] : cur.counters) w.member(name, v);
+  w.end().key("gauges").object();
+  for (const auto& [name, v] : cur.gauges) w.member(name, v);
+  w.end().key("rates").object();
   for (const auto& [name, v] : cur.counters) {
     (void)v;
     const TimeSeriesRing::Rate r = ring_.rate(name);
     if (!r.known) continue;
-    os << (first ? "\n    " : ",\n    ");
-    first = false;
-    write_key(os, name);
-    os << "{\"per_sec\":";
-    write_number(os, r.per_sec);
-    os << ",\"per_batch\":";
-    write_number(os, r.per_batch);
-    os << "}";
+    w.key(name).object(JsonWriter::kInline).member("per_sec", r.per_sec);
+    w.member("per_batch", r.per_batch).end();
   }
-
-  os << "\n  },\n  \"histograms\": {";
-  first = true;
+  w.end().key("histograms").object();
   for (const MetricsRegistry::HistogramSummary& h :
        registry_.histogram_summaries()) {
-    os << (first ? "\n    " : ",\n    ");
-    first = false;
-    write_key(os, h.name);
-    os << "{\"count\":" << h.count << ",\"mean\":";
-    write_number(os, h.mean);
-    os << ",\"min\":";
-    write_number(os, h.min);
-    os << ",\"max\":";
-    write_number(os, h.max);
-    os << ",\"p50\":";
-    write_number(os, h.p50);
-    os << ",\"p95\":";
-    write_number(os, h.p95);
-    os << ",\"p99\":";
-    write_number(os, h.p99);
-    os << "}";
+    w.key(h.name).object(JsonWriter::kInline).member("count", h.count);
+    w.member("mean", h.mean).member("min", h.min).member("max", h.max);
+    w.member("p50", h.p50).member("p95", h.p95).member("p99", h.p99).end();
   }
 
   // Stage totals + shares of host wall-clock busy time. Shares are over
@@ -236,62 +183,47 @@ void TelemetrySnapshotter::write_snapshot(const SnapshotSample& cur,
   for (std::size_t j = static_cast<std::size_t>(Stage::kSample);
        j < kNumStages; ++j)
     fine_total_ns += static_cast<double>(totals[j]);
-  os << "\n  },\n  \"stages\": {";
-  for (std::size_t j = 0; j < kNumStages; ++j) {
-    os << (j == 0 ? "\n    " : ",\n    ");
-    write_key(os, std::string(to_string(static_cast<Stage>(j))) + "_ms");
-    write_number(os, static_cast<double>(totals[j]) / 1e6);
-  }
-  os << ",\n    \"shares\": {";
+  w.end().key("stages").object();
+  for (std::size_t j = 0; j < kNumStages; ++j)
+    w.member(std::string(to_string(static_cast<Stage>(j))) + "_ms",
+             static_cast<double>(totals[j]) / 1e6);
+  w.key("shares").object(JsonWriter::kInline);
   for (std::size_t j = static_cast<std::size_t>(Stage::kSample);
-       j < kNumStages; ++j) {
-    os << (j == static_cast<std::size_t>(Stage::kSample) ? "" : ", ");
-    write_key(os, to_string(static_cast<Stage>(j)));
-    write_number(os, fine_total_ns > 0.0
-                         ? static_cast<double>(totals[j]) / fine_total_ns
-                         : 0.0);
-  }
-  os << "}";
+       j < kNumStages; ++j)
+    w.member(to_string(static_cast<Stage>(j)),
+             fine_total_ns > 0.0
+                 ? static_cast<double>(totals[j]) / fine_total_ns
+                 : 0.0);
+  w.end().end();
 
   // Per-worker utilization and skew, merged from the profiler slots.
   const double wall_ns =
       static_cast<double>(prof.wall_since_enable_ns());
   const auto slots = prof.snapshot();
   double busy_sum = 0.0, busy_max = 0.0;
-  os << "\n  },\n  \"workers\": [";
-  first = true;
+  w.key("workers").array();
   for (const WorkerProfiler::SlotSnapshot& s : slots) {
     const double busy = static_cast<double>(s.busy_ns);
     busy_sum += busy;
     busy_max = std::max(busy_max, busy);
-    os << (first ? "\n    " : ",\n    ");
-    first = false;
-    os << "{\"slot\":" << s.slot << ",\"busy_ms\":";
-    write_number(os, busy / 1e6);
-    os << ",\"util\":";
-    write_number(os, wall_ns > 0.0 ? busy / wall_ns : 0.0);
-    for (std::size_t j = 0; j < kNumStages; ++j) {
-      os << ",";
-      write_key(os, std::string(to_string(static_cast<Stage>(j))) + "_ms");
-      write_number(os, static_cast<double>(s.stage_ns[j]) / 1e6);
-    }
-    os << "}";
+    w.object(JsonWriter::kInline).member("slot", s.slot);
+    w.member("busy_ms", busy / 1e6);
+    w.member("util", wall_ns > 0.0 ? busy / wall_ns : 0.0);
+    for (std::size_t j = 0; j < kNumStages; ++j)
+      w.member(std::string(to_string(static_cast<Stage>(j))) + "_ms",
+               static_cast<double>(s.stage_ns[j]) / 1e6);
+    w.end();
   }
   const double busy_mean =
       slots.empty() ? 0.0 : busy_sum / static_cast<double>(slots.size());
-  os << "\n  ],\n  \"worker_skew\": ";
-  write_number(os, busy_mean > 0.0 ? busy_max / busy_mean : 0.0);
+  w.end().member("worker_skew", busy_mean > 0.0 ? busy_max / busy_mean : 0.0);
 
-  os << ",\n  \"health\": {";
-  if (watchdog_ != nullptr) {
-    os << "\"state\":\""
-       << (watchdog_->stalled() ? "stalled" : "ok")
-       << "\",\"heartbeats\":" << watchdog_->heartbeats()
-       << ",\"stalls\":" << watchdog_->stalls_detected();
-  } else {
-    os << "\"state\":\"ok\",\"heartbeats\":0,\"stalls\":0";
-  }
-  os << "}\n}\n";
+  const bool watched = watchdog_ != nullptr;
+  w.key("health").object(JsonWriter::kInline);
+  w.member("state", watched && watchdog_->stalled() ? "stalled" : "ok");
+  w.member("heartbeats", watched ? watchdog_->heartbeats() : 0);
+  w.member("stalls", watched ? watchdog_->stalls_detected() : 0);
+  w.end().end().flush(os);
 }
 
 }  // namespace gt::obs::live

@@ -14,15 +14,19 @@
 //   latest.json                  newest snapshot (tmp + atomic name swap,
 //                                so a reader never sees a torn file)
 //
-// Snapshot schema (kSnapshotSchemaVersion = 1):
-//   { "schema_version":1, "seq":N, "ts_ms":T, "batches":B, "interval":I,
-//     "counters":{name:value}, "gauges":{name:value},
-//     "rates":{name:{"per_sec":r,"per_batch":r}},      // counter deltas
-//     "histograms":{name:{count,mean,min,max,p50,p95,p99}},
-//     "stages":{"<stage>_ms":t, "shares":{stage:frac}}, // S/R/K/T/FWP/BWP
-//     "workers":[{"slot":i,"busy_ms":t,"util":u,"<stage>_ms":t,...}],
-//     "worker_skew":s,                                  // max/mean busy
-//     "health":{"state":"ok|stalled","heartbeats":N,"stalls":N} }
+// Snapshot schema (kSnapshotSchemaVersion = 1; tools/gt_top checks it):
+//   { "schema_version": 1, "seq": N, "ts_ms": T, "batches": B,
+//     "interval": I,
+//     "counters": {name: value}, "gauges": {name: value},
+//     "rates": {name: {"per_sec": r, "per_batch": r}},    // counter deltas
+//     "histograms": {name: {count, mean, min, max, p50, p95, p99}},
+//     "stages": {"<stage>_ms": t, "shares": {stage: frac}},
+//     "workers": [{"slot": i, "busy_ms": t, "util": u, "<stage>_ms": t}],
+//     "worker_skew": s,                                   // max/mean busy
+//     "health": {"state": "ok|stalled", "heartbeats": N, "stalls": N} }
+//
+// Written through obs::JsonWriter: blocks one member per line, the
+// per-name objects inline, and a NaN or infinite gauge as null.
 //
 // "stages" and "workers" are the WorkerProfiler's host wall-clock busy
 // time of the simulator's own threads, not the modeled system: the modeled

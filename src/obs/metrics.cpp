@@ -1,11 +1,10 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
-#include "obs/trace.hpp"
+#include "obs/json.hpp"
 
 namespace gt::obs {
 
@@ -202,78 +201,34 @@ void MetricsRegistry::reset() {
   for (auto& [name, h] : histograms_) h->reset();
 }
 
-namespace {
-
-void write_number(std::ostream& os, double v) {
-  char num[48];
-  std::snprintf(num, sizeof num, "%.6g", v);
-  os << num;
-}
-
-void write_key(std::ostream& os, const std::string& name) {
-  std::string escaped;
-  json_escape(name, escaped);
-  os << "\"" << escaped << "\":";
-}
-
-}  // namespace
-
 void MetricsRegistry::write_json(std::ostream& os) const {
   std::lock_guard lock(mu_);
-  os << "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    os << (first ? "\n    " : ",\n    ");
-    first = false;
-    write_key(os, name);
-    os << c->value();
-  }
-  os << "\n  },\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    os << (first ? "\n    " : ",\n    ");
-    first = false;
-    write_key(os, name);
-    write_number(os, g->value());
-  }
-  os << "\n  },\n  \"histograms\": {";
-  first = true;
+  JsonWriter w;
+  w.object().key("counters").object();
+  for (const auto& [name, c] : counters_) w.member(name, c->value());
+  w.end().key("gauges").object();
+  for (const auto& [name, g] : gauges_) w.member(name, g->value());
+  w.end().key("histograms").object();
   for (const auto& [name, h] : histograms_) {
-    os << (first ? "\n    " : ",\n    ");
-    first = false;
-    write_key(os, name);
     const OnlineStats s = h->stats();
-    os << "{\"count\":" << s.count() << ",\"sum\":";
-    write_number(os, s.sum());
-    os << ",\"mean\":";
-    write_number(os, s.mean());
-    os << ",\"min\":";
-    write_number(os, s.min());
-    os << ",\"max\":";
-    write_number(os, s.max());
-    os << ",\"stdev\":";
-    write_number(os, s.stdev());
-    os << ",\"p50\":";
-    write_number(os, h->quantile(0.50));
-    os << ",\"p95\":";
-    write_number(os, h->quantile(0.95));
-    os << ",\"p99\":";
-    write_number(os, h->quantile(0.99));
-    os << ",\"buckets\":[";
+    w.key(name).object(JsonWriter::kInline).member("count", s.count());
+    w.member("sum", s.sum()).member("mean", s.mean()).member("min", s.min());
+    w.member("max", s.max()).member("stdev", s.stdev());
+    w.member("p50", h->quantile(0.50)).member("p95", h->quantile(0.95));
+    w.member("p99", h->quantile(0.99)).key("buckets").array();
     const auto& bounds = h->bounds();
     const auto counts = h->bucket_counts();
     for (std::size_t i = 0; i < counts.size(); ++i) {
-      if (i > 0) os << ",";
-      os << "{\"le\":";
+      w.object();
       if (i < bounds.size())
-        write_number(os, bounds[i]);
+        w.member("le", bounds[i]);
       else
-        os << "\"inf\"";
-      os << ",\"count\":" << counts[i] << "}";
+        w.member("le", "inf");
+      w.member("count", counts[i]).end();
     }
-    os << "]}";
+    w.end().end();
   }
-  os << "\n  }\n}\n";
+  w.end().end().flush(os);
 }
 
 bool MetricsRegistry::write_json_file(const std::string& path) const {

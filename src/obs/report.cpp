@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <thread>
 
 #include "obs/attrib/explain.hpp"
-#include "obs/trace.hpp"
+#include "obs/json.hpp"
 #include "util/table.hpp"
 
 #if defined(__GLIBC__)
@@ -20,7 +19,7 @@ namespace gt::obs {
 
 namespace {
 
-// Separator that cannot appear in row fields (json_escape would encode it).
+// Separator that cannot appear in row fields (the JSON writer escapes it).
 constexpr char kKeySep = '\x1f';
 
 std::string default_binary_name() {
@@ -48,18 +47,6 @@ std::string default_build_type() {
 #else
   return "unknown";
 #endif
-}
-
-void write_num(std::ostream& os, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  os << buf;
-}
-
-void write_str(std::ostream& os, std::string_view s) {
-  std::string escaped;
-  json_escape(s, escaped);
-  os << '"' << escaped << '"';
 }
 
 }  // namespace
@@ -161,46 +148,21 @@ void BenchReporter::write_json(std::ostream& os) const {
   // run-time detail; rows keep it because it mirrors the printed tables).
   std::map<std::string, std::string, std::less<>> figs(figures_.begin(),
                                                        figures_.end());
-  os << "{\n  \"figures\": {";
-  bool first = true;
-  for (const auto& [fig, desc] : figs) {
-    os << (first ? "\n    " : ",\n    ");
-    first = false;
-    write_str(os, fig);
-    os << ": ";
-    write_str(os, desc);
-  }
-  os << "\n  },\n  \"meta\": {\n    \"binary\": ";
-  write_str(os, meta_.binary);
-  os << ",\n    \"build_type\": ";
-  write_str(os, meta_.build_type);
-  os << ",\n    \"git_sha\": ";
-  write_str(os, meta_.git_sha);
-  os << ",\n    \"iterations\": " << meta_.iterations;
-  os << ",\n    \"threads\": " << meta_.threads;
-  os << "\n  },\n  \"rows\": [";
-  first = true;
+  JsonWriter w;
+  w.object().key("figures").object();
+  for (const auto& [fig, desc] : figs) w.member(fig, desc);
+  w.end().key("meta").object().member("binary", meta_.binary);
+  w.member("build_type", meta_.build_type).member("git_sha", meta_.git_sha);
+  w.member("iterations", meta_.iterations).member("threads", meta_.threads);
+  w.end().key("rows").array();
   for (const BenchRow& r : rows_) {
-    os << (first ? "\n    " : ",\n    ");
-    first = false;
-    os << "{\"dataset\": ";
-    write_str(os, r.dataset);
-    os << ", \"figure\": ";
-    write_str(os, r.figure);
-    os << ", \"framework\": ";
-    write_str(os, r.framework);
-    os << ", \"measured\": ";
-    write_num(os, r.measured);
-    os << ", \"metric\": ";
-    write_str(os, r.metric);
-    os << ", \"paper\": ";
-    write_num(os, r.paper);
-    os << ", \"unit\": ";
-    write_str(os, r.unit);
-    os << "}";
+    w.object(JsonWriter::kInline).member("dataset", r.dataset);
+    w.member("figure", r.figure).member("framework", r.framework);
+    w.member("measured", r.measured).member("metric", r.metric);
+    w.member("paper", r.paper).member("unit", r.unit).end();
   }
-  os << "\n  ],\n  \"schema_version\": " << kBenchReportSchemaVersion;
-  os << "\n}\n";
+  w.end().member("schema_version", kBenchReportSchemaVersion);
+  w.end().flush(os);
 }
 
 bool BenchReporter::write_json_file(const std::string& path) const {
@@ -366,32 +328,17 @@ bool load_attribution(const BenchDiffOptions& opt,
   return true;
 }
 
-void write_json_row(std::ostream& os, const RowDelta& d) {
+void write_json_row(JsonWriter& w, const RowDelta& d) {
   const BenchRow& named =
       d.status == RowDelta::Status::kNew ? d.current : d.baseline;
-  os << "    {\"status\": ";
-  write_str(os, status_name(d.status));
-  os << ", \"figure\": ";
-  write_str(os, named.figure);
-  os << ", \"metric\": ";
-  write_str(os, named.metric);
-  os << ", \"dataset\": ";
-  write_str(os, named.dataset);
-  os << ", \"framework\": ";
-  write_str(os, named.framework);
-  os << ", \"unit\": ";
-  write_str(os, named.unit);
-  os << ", \"paper\": ";
-  write_num(os, named.paper);
-  os << ", \"measured_baseline\": ";
-  write_num(os, d.baseline.measured);
-  os << ", \"measured_current\": ";
-  write_num(os, d.current.measured);
-  os << ", \"err_baseline\": ";
-  write_num(os, d.err_baseline);
-  os << ", \"err_current\": ";
-  write_num(os, d.err_current);
-  os << "}";
+  w.object(JsonWriter::kInline).member("status", status_name(d.status));
+  w.member("figure", named.figure).member("metric", named.metric);
+  w.member("dataset", named.dataset).member("framework", named.framework);
+  w.member("unit", named.unit).member("paper", named.paper);
+  w.member("measured_baseline", d.baseline.measured);
+  w.member("measured_current", d.current.measured);
+  w.member("err_baseline", d.err_baseline);
+  w.member("err_current", d.err_current).end();
 }
 
 }  // namespace
@@ -437,46 +384,30 @@ int run_bench_diff(const std::string& baseline_path,
                        &base_kernels, &cur_kernels, &attr_why_not);
 
   if (opt.json) {
-    os << "{\n  \"schema_version\": 1,\n  \"threshold\": ";
-    write_num(os, opt.threshold);
-    os << ",\n  \"verdict\": ";
-    write_str(os, verdict);
-    os << ",\n  \"baseline\": {\"path\": ";
-    write_str(os, baseline_path);
-    os << ", \"git_sha\": ";
-    write_str(os, baseline.meta.git_sha);
-    os << "},\n  \"current\": {\"path\": ";
-    write_str(os, current_path);
-    os << ", \"git_sha\": ";
-    write_str(os, current.meta.git_sha);
-    os << "},\n  \"counts\": {\"compared\": " << diff.deltas.size()
-       << ", \"regressed\": " << regressed << ", \"missing\": " << missing
-       << ", \"improved\": " << improved << ", \"new\": " << fresh
-       << "},\n  \"rows\": [";
-    bool first = true;
-    for (const RowDelta& d : diff.deltas) {
-      os << (first ? "\n" : ",\n");
-      first = false;
-      write_json_row(os, d);
-    }
-    os << (first ? "]" : "\n  ]") << ",\n  \"kernel_attribution\": [";
-    first = true;
+    JsonWriter w;
+    w.object().member("schema_version", 1);
+    w.member("threshold", opt.threshold).member("verdict", verdict);
+    w.key("baseline").object(JsonWriter::kInline);
+    w.member("path", baseline_path).member("git_sha", baseline.meta.git_sha);
+    w.end().key("current").object(JsonWriter::kInline);
+    w.member("path", current_path).member("git_sha", current.meta.git_sha);
+    w.end().key("counts").object(JsonWriter::kInline);
+    w.member("compared", diff.deltas.size()).member("regressed", regressed);
+    w.member("missing", missing).member("improved", improved);
+    w.member("new", fresh).end().key("rows").array();
+    for (const RowDelta& d : diff.deltas) write_json_row(w, d);
+    w.end().key("kernel_attribution").array();
     if (have_attribution) {
       std::size_t shown = 0;
       for (const attrib::KernelDelta& k : attribution.kernels) {
         if (shown >= opt.top_kernels || k.delta_us == 0.0) break;
         ++shown;
-        os << (first ? "\n" : ",\n") << "    {\"key\": ";
-        first = false;
-        write_str(os, k.key);
-        os << ", \"phase\": ";
-        write_str(os, k.phase);
-        os << ", \"delta_us_per_batch\": ";
-        write_num(os, k.delta_us);
-        os << "}";
+        w.object(JsonWriter::kInline).member("key", k.key);
+        w.member("phase", k.phase);
+        w.member("delta_us_per_batch", k.delta_us).end();
       }
     }
-    os << (first ? "]" : "\n  ]") << "\n}\n";
+    w.end().end().flush(os);
     return exit_code;
   }
 

@@ -16,7 +16,10 @@
 //   }
 //
 // All keys are emitted in sorted order and rows in recording order, so
-// two runs of a deterministic benchmark produce byte-identical files.
+// two runs of a deterministic benchmark produce byte-identical files. The
+// report, like bench_diff's --json verdict, is written through
+// obs::JsonWriter: a NaN or infinite value prints as null and reads back
+// as 0.
 //
 // The report holds no stage breakdown. The modeled (virtual-time) Fig 12
 // split into S/R/K/T + FWP/BWP is the kernel ledger's `kernels.json`

@@ -1,9 +1,9 @@
 #include "obs/trace.hpp"
 
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <fstream>
+
+#include "obs/json.hpp"
 
 namespace gt::obs {
 
@@ -75,65 +75,28 @@ std::vector<TraceEvent> Tracer::snapshot() const {
   return all;
 }
 
-void json_escape(std::string_view s, std::string& out) {
-  for (char c : s) {
-    switch (c) {
-      case '"':  out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof hex, "\\u%04x", c);
-          out += hex;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-namespace {
-
-void write_event(std::ostream& os, const TraceEvent& e) {
-  std::string name, cat;
-  json_escape(e.name, name);
-  json_escape(e.cat, cat);
-  char num[160];
-  std::snprintf(num, sizeof num,
-                "\"ts\":%.3f,\"dur\":%.3f,\"pid\":%" PRIu32 ",\"tid\":%" PRIu32,
-                e.ts_us, e.dur_us, e.pid, e.tid);
-  os << "{\"name\":\"" << name << "\",\"cat\":\""
-     << (cat.empty() ? "default" : cat) << "\",\"ph\":\"X\"," << num;
-  if (!e.args_json.empty()) os << ",\"args\":{" << e.args_json << "}";
-  os << "}";
-}
-
-}  // namespace
-
 void Tracer::write_chrome_trace(std::ostream& os) const {
-  os << "{\"traceEvents\":[";
-  bool first = true;
+  JsonWriter w;
+  w.object().key("traceEvents").array();
   {
     std::lock_guard lock(registry_mu_);
     for (const auto& [tid, name] : sim_thread_names_) {
-      if (!first) os << ",\n";
-      first = false;
-      std::string escaped;
-      json_escape(name, escaped);
-      os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << kSimPid
-         << ",\"tid\":" << tid << ",\"args\":{\"name\":\"" << escaped
-         << "\"}}";
+      w.object(JsonWriter::kInline).member("name", "thread_name");
+      w.member("ph", "M").member("pid", kSimPid).member("tid", tid);
+      w.key("args").object().member("name", name).end().end();
     }
   }
+  // One event at a time to the stream: the rendered document never sits in
+  // memory beside the events it renders.
   for (const TraceEvent& e : snapshot()) {
-    if (!first) os << ",\n";
-    first = false;
-    write_event(os, e);
+    w.object(JsonWriter::kInline).member("name", e.name);
+    w.member("cat", e.cat.empty() ? std::string_view("default") : e.cat);
+    w.member("ph", "X").key("ts").fixed(e.ts_us, 3);
+    w.key("dur").fixed(e.dur_us, 3).member("pid", e.pid).member("tid", e.tid);
+    if (!e.args_json.empty()) w.key("args").raw("{" + e.args_json + "}");
+    w.end().flush(os);
   }
-  os << "],\"displayTimeUnit\":\"ms\"}\n";
+  w.end().member("displayTimeUnit", "ms").end().flush(os);
 }
 
 bool Tracer::write_chrome_trace_file(const std::string& path) const {
@@ -184,33 +147,18 @@ double Span::stop() {
 }
 
 void Span::arg(const char* key, std::int64_t v) {
-  if (tracer_ == nullptr) return;
-  if (!args_.empty()) args_ += ',';
-  args_ += '"';
-  json_escape(key, args_);
-  args_ += "\":";
-  args_ += std::to_string(v);
+  if (tracer_ != nullptr)
+    args_ = JsonWriter::members(std::move(args_)).member(key, v).take();
 }
 
 void Span::arg(const char* key, double v) {
-  if (tracer_ == nullptr) return;
-  char num[48];
-  std::snprintf(num, sizeof num, "%.6g", v);
-  if (!args_.empty()) args_ += ',';
-  args_ += '"';
-  json_escape(key, args_);
-  args_ += "\":";
-  args_ += num;
+  if (tracer_ != nullptr)
+    args_ = JsonWriter::members(std::move(args_)).member(key, v).take();
 }
 
 void Span::arg(const char* key, std::string_view v) {
-  if (tracer_ == nullptr) return;
-  if (!args_.empty()) args_ += ',';
-  args_ += '"';
-  json_escape(key, args_);
-  args_ += "\":\"";
-  json_escape(v, args_);
-  args_ += '"';
+  if (tracer_ != nullptr)
+    args_ = JsonWriter::members(std::move(args_)).member(key, v).take();
 }
 
 }  // namespace gt::obs

@@ -17,7 +17,9 @@
 // one definition, and the profiler and the trace cannot disagree.
 //
 // The export is Chrome trace-event JSON ("X" complete events plus "M"
-// thread-name metadata), loadable in chrome://tracing or Perfetto.
+// thread-name metadata), loadable in chrome://tracing or Perfetto. It is
+// written through obs::JsonWriter one event per line, and streamed: the
+// writer hands each event to the output before rendering the next.
 //
 // Cost model: a Span without a stage is one relaxed atomic load while
 // tracing is off; a stage scope also reads steady_clock twice. Defining
@@ -56,7 +58,8 @@ struct TraceEvent {
   double dur_us = 0.0;
   std::uint32_t pid = kWallPid;
   std::uint32_t tid = 0;
-  /// Pre-rendered JSON object members ("\"k\":1,\"s\":\"v\""), no braces.
+  /// Pre-rendered JSON object members, no braces (`"k":1,"s":"v"`), as
+  /// JsonWriter::members() builds them.
   std::string args_json;
 };
 
@@ -185,9 +188,6 @@ struct NullSpan {
   template <typename T>
   constexpr void arg(const char*, T&&) const noexcept {}
 };
-
-/// Append a JSON-escaped copy of `s` (no surrounding quotes) to `out`.
-void json_escape(std::string_view s, std::string& out);
 
 }  // namespace gt::obs
 

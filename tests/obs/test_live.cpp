@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "obs/live/event_log.hpp"
 #include "obs/live/snapshot.hpp"
 #include "obs/live/telemetry.hpp"
@@ -338,7 +339,8 @@ TEST(TelemetrySnapshotter, TicksEmitOnIntervalAndRotateFiles) {
   const std::string latest = read_file(dir + "/latest.json");
   EXPECT_TRUE(testing::JsonChecker(latest).valid()) << latest;
   EXPECT_NE(latest.find("\"schema_version\": 1"), std::string::npos);
-  EXPECT_NE(latest.find("\"work.items\":8"), std::string::npos);
+  const JsonValue doc = json_parse_or_null(latest);
+  EXPECT_EQ(doc.at("counters").number_at("work.items"), 8.0);
   EXPECT_NE(latest.find("\"rates\""), std::string::npos);
   EXPECT_NE(latest.find("\"health\""), std::string::npos);
   std::filesystem::remove_all(dir);
@@ -360,8 +362,8 @@ TEST(TelemetrySnapshotter, ReplacesFilesWholeAndLeavesNoTemporary) {
     const std::string latest = read_file(dir + "/latest.json");
     EXPECT_EQ(read_file(dir + "/snapshot-" + std::to_string(i % 3) + ".json"),
               latest);
-    EXPECT_NE(latest.find("\"work.items\":" + std::to_string(i + 1)),
-              std::string::npos);
+    const JsonValue doc = json_parse_or_null(latest);
+    EXPECT_EQ(doc.at("counters").number_at("work.items"), i + 1);
     EXPECT_FALSE(std::filesystem::exists(dir + "/latest.json.tmp"));
   }
   for (int s = 0; s < 3; ++s) {
@@ -389,7 +391,8 @@ TEST(TelemetrySnapshotter, WriteSnapshotIsValidJsonWithRates) {
   snap.write_snapshot(snap.ring().newest(), os);
   const std::string json = os.str();
   EXPECT_TRUE(testing::JsonChecker(json).valid()) << json;
-  EXPECT_NE(json.find("\"q.depth\":{\"per_sec\""), std::string::npos);
+  const JsonValue doc = json_parse_or_null(json);
+  EXPECT_TRUE(doc.at("rates").at("q.depth").at("per_sec").is_number());
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"lat_us\""), std::string::npos);
   EXPECT_NE(json.find("\"stages\""), std::string::npos);

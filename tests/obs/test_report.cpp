@@ -4,11 +4,13 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "json_checker.hpp"
+#include "obs/attrib/explain.hpp"
 #include "obs/attrib/kernel_ledger.hpp"
 #include "obs/json.hpp"
 #include "obs/live/snapshot.hpp"
@@ -197,6 +199,159 @@ TEST(JsonParser, SurvivesMutatedDocuments) {
   EXPECT_GT(accepted, 100u);
   EXPECT_GT(rejected, 100u);
   EXPECT_GT(too_deep, 10u);
+}
+
+/// One structural edit of a parsed document, applied while JsonWriter
+/// re-emits it: the node at preorder position `target` (members and array
+/// elements count, the root does not) is replaced, deleted or duplicated.
+struct TreeEdit {
+  enum Kind {
+    kNumber, kString, kNull, kArray, kHuge, kNegative, kFraction, kDelete,
+    kDuplicate, kKinds
+  };
+  std::size_t target = 0;
+  Kind kind = kNumber;
+  std::size_t seen = 0;
+};
+
+std::size_t count_nodes(const JsonValue& v) {
+  std::size_t n = 0;
+  for (const auto& [key, child] : v.as_object()) n += 1 + count_nodes(child);
+  for (const JsonValue& child : v.as_array()) n += 1 + count_nodes(child);
+  return n;
+}
+
+void emit_edited(JsonWriter& w, const JsonValue& v, TreeEdit& edit);
+
+void emit_child(JsonWriter& w, const std::string* key, const JsonValue& v,
+                TreeEdit& edit) {
+  const bool hit = edit.seen++ == edit.target;
+  if (hit && edit.kind == TreeEdit::kDelete) return;
+  const int copies = hit && edit.kind == TreeEdit::kDuplicate ? 2 : 1;
+  for (int c = 0; c < copies; ++c) {
+    if (key != nullptr) w.key(*key);
+    if (!hit || edit.kind == TreeEdit::kDuplicate) {
+      emit_edited(w, v, edit);
+      continue;
+    }
+    switch (edit.kind) {
+      case TreeEdit::kNumber: w.value(42); break;
+      case TreeEdit::kString: w.value("mutant"); break;
+      case TreeEdit::kNull: w.raw("null"); break;
+      case TreeEdit::kArray: w.array().value(1).value("x").end(); break;
+      case TreeEdit::kHuge: w.raw("1e300"); break;
+      case TreeEdit::kNegative: w.value(-1); break;
+      default: w.value(1.5); break;
+    }
+  }
+}
+
+void emit_edited(JsonWriter& w, const JsonValue& v, TreeEdit& edit) {
+  switch (v.kind()) {
+    case JsonValue::Kind::kObject:
+      w.object();
+      for (const auto& [key, child] : v.as_object())
+        emit_child(w, &key, child, edit);
+      w.end();
+      break;
+    case JsonValue::Kind::kArray:
+      w.array();
+      for (const JsonValue& child : v.as_array())
+        emit_child(w, nullptr, child, edit);
+      w.end();
+      break;
+    case JsonValue::Kind::kString: w.value(v.as_string()); break;
+    case JsonValue::Kind::kNumber: w.value(v.as_number()); break;
+    case JsonValue::Kind::kBool: w.value(v.as_bool()); break;
+    case JsonValue::Kind::kNull: w.raw("null"); break;
+  }
+}
+
+// Seeded mutation fuzzing of the two artifact loaders, after
+// Options.SurvivesMutatedArgv: kernels.json (LedgerData::load, read by
+// gt_explain and bench_diff's attribution) and the bench report
+// (BenchReport::load / from_json). Most edits keep the document parseable
+// so the loaders' own checks run; a quarter also take a byte mutation.
+// Every load succeeds or fails with a message, a successful load holds its
+// integer fields in range, and the analyses run on whatever loaded (the
+// suite also runs under ASan + UBSan with float-cast-overflow).
+TEST(ArtifactLoaders, SurviveMutatedWriterDocuments) {
+  const std::vector<std::string> seeds = writer_documents();
+  const std::string path = ::testing::TempDir() + "gt_loader_mutation.json";
+  std::ofstream(path) << seeds[0];
+  BenchReport seed_report;
+  std::string err;
+  ASSERT_TRUE(BenchReport::load(path, &seed_report, &err)) << err;
+  std::ofstream(path) << seeds[1];
+  attrib::LedgerData seed_ledger;
+  ASSERT_TRUE(attrib::LedgerData::load(path, &seed_ledger, &err)) << err;
+
+  Xoshiro256 rng(20261018);
+  std::size_t report_loaded = 0, report_rejected = 0;
+  std::size_t ledger_loaded = 0, ledger_rejected = 0;
+  std::ostringstream sink;
+  for (int iter = 0; iter < 1500; ++iter) {
+    std::string doc = seeds[rng.uniform(seeds.size())];
+    const std::uint64_t edits = 1 + rng.uniform(2);
+    for (std::uint64_t e = 0; e < edits; ++e) {
+      const JsonValue tree = json_parse_or_null(doc);
+      const std::size_t nodes = count_nodes(tree);
+      if (nodes == 0) break;
+      TreeEdit edit;
+      edit.target = rng.uniform(nodes);
+      edit.kind = static_cast<TreeEdit::Kind>(rng.uniform(TreeEdit::kKinds));
+      JsonWriter w(JsonWriter::kPretty, 17);
+      emit_edited(w, tree, edit);
+      doc = w.take();
+    }
+    if (rng.uniform(4) == 0 && !doc.empty()) {
+      const std::size_t at = rng.uniform(doc.size());
+      switch (rng.uniform(3)) {
+        case 0: doc.resize(at); break;
+        case 1: doc[at] = static_cast<char>(rng.uniform(256)); break;
+        default: doc.erase(at, 1 + rng.uniform(16)); break;
+      }
+    }
+    std::ofstream(path, std::ios::trunc) << doc;
+
+    BenchReport report;
+    err.clear();
+    if (BenchReport::load(path, &report, &err)) {
+      ++report_loaded;
+      EXPECT_EQ(report.schema_version, kBenchReportSchemaVersion);
+      EXPECT_GE(report.meta.threads, 0);
+      EXPECT_GE(report.meta.iterations, 0);
+      diff_reports(seed_report, report, 0.05);
+      diff_reports(report, seed_report, 0.05);
+    } else {
+      ++report_rejected;
+      EXPECT_FALSE(err.empty());
+    }
+
+    attrib::LedgerData ledger;
+    err.clear();
+    if (attrib::LedgerData::load(path, &ledger, &err)) {
+      ++ledger_loaded;
+      const JsonValue tree = json_parse_or_null(doc);
+      EXPECT_EQ(static_cast<double>(ledger.batches),
+                tree.at("totals").number_at("batches"));
+      EXPECT_EQ(static_cast<double>(ledger.residual_samples),
+                tree.at("costmodel").at("residual").number_at("samples"));
+      attrib::write_json(attrib::attribute(seed_ledger, ledger), sink);
+      attrib::write_text(attrib::attribute(ledger, seed_ledger), sink, 5);
+      attrib::run_self_test(ledger, sink);
+    } else {
+      ++ledger_rejected;
+      EXPECT_FALSE(err.empty());
+    }
+    sink.str("");
+  }
+  std::remove(path.c_str());
+  // Both outcomes, for both loaders, or the test shows nothing.
+  EXPECT_GT(report_loaded, 150u);
+  EXPECT_GT(report_rejected, 150u);
+  EXPECT_GT(ledger_loaded, 150u);
+  EXPECT_GT(ledger_rejected, 150u);
 }
 
 TEST(BenchReporter, RowsInheritContextFigure) {

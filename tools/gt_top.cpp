@@ -52,13 +52,13 @@
 #endif
 
 #include "obs/json.hpp"
+#include "obs/live/snapshot.hpp"
 #include "util/options.hpp"
 
 namespace {
 
 using gt::obs::JsonValue;
-
-constexpr int kSnapshotSchemaVersion = 1;
+using gt::obs::live::kSnapshotSchemaVersion;
 
 // ---- colors -----------------------------------------------------------------
 
