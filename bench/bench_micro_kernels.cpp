@@ -151,34 +151,48 @@ void BM_ApplyDense(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyDense)->Args({1000, 16})->Args({1000, 544})->UseRealTime();
 
-// Tile-size sweep for the blocked matmul: register tile (row_tile) x cache
-// block (k_block = n_block). The fastest combination becomes MatmulTiling's
-// defaults; record sweep results in EXPERIMENTS.md when they move.
-// Args: {row_tile, cache_block}. Shape fixed at 768x512 * 512x512 — large
-// enough that blocking matters, GNN-sized (hidden dims, batch rows).
-void BM_MatmulTiled(benchmark::State& state) {
-  Xoshiro256 rng(3);
-  const Matrix a = Matrix::uniform(768, 512, rng);
-  const Matrix b = Matrix::uniform(512, 512, rng);
-  Matrix c(768, 512);
-  MatmulTiling tiling;
-  tiling.row_tile = static_cast<std::size_t>(state.range(0));
-  tiling.k_block = static_cast<std::size_t>(state.range(1));
-  tiling.n_block = static_cast<std::size_t>(state.range(1));
+// The layer-0 products of the two training workloads (perfbench
+// train-wikitalk and train-social-cached: 544-wide features, hidden 8):
+// the forward X·W and the weight gradient X^T·dZ at 1200 and 3440 batch
+// rows. Args: {rows, compute threads}.
+void BM_Layer0Forward(benchmark::State& state) {
+  const std::size_t rows = static_cast<std::size_t>(state.range(0));
+  Xoshiro256 rng(5);
+  const Matrix x = Matrix::uniform(rows, 544, rng);
+  const Matrix w = Matrix::uniform(544, 8, rng);
+  Matrix out(rows, 8);
+  set_compute_threads(static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
-    matmul_into_tiled(a, b, c, tiling);
-    benchmark::DoNotOptimize(c.data().data());
+    matmul_into(x, w, out);
+    benchmark::DoNotOptimize(out.data().data());
   }
-  state.SetItemsProcessed(state.iterations() * 2 * a.rows() * a.cols() *
-                          b.cols());
+  set_compute_threads(0);
+  state.SetItemsProcessed(state.iterations() * 2 * rows * 544 * 8);
 }
-BENCHMARK(BM_MatmulTiled)
-    ->Args({4, 64})->Args({4, 128})->Args({4, 256})
-    ->Args({8, 64})->Args({8, 128})->Args({8, 256})
+BENCHMARK(BM_Layer0Forward)
+    ->Args({1200, 1})->Args({1200, 2})->Args({3440, 1})->Args({3440, 2})
     ->UseRealTime();
 
-// Same kernel at 1 vs default compute threads (wall-clock scaling check;
-// identical bits either way).
+void BM_Layer0WeightGrad(benchmark::State& state) {
+  const std::size_t rows = static_cast<std::size_t>(state.range(0));
+  Xoshiro256 rng(6);
+  const Matrix x = Matrix::uniform(rows, 544, rng);
+  const Matrix dz = Matrix::uniform(rows, 8, rng);
+  Matrix dw(544, 8);
+  set_compute_threads(static_cast<std::size_t>(state.range(1)));
+  for (auto _ : state) {
+    matmul_at_b_into(x, dz, dw);
+    benchmark::DoNotOptimize(dw.data().data());
+  }
+  set_compute_threads(0);
+  state.SetItemsProcessed(state.iterations() * 2 * rows * 544 * 8);
+}
+BENCHMARK(BM_Layer0WeightGrad)
+    ->Args({1200, 1})->Args({1200, 2})->Args({3440, 1})->Args({3440, 2})
+    ->UseRealTime();
+
+// A large square product at 1, 2 and 8 compute threads (wall-clock
+// scaling check; identical bits either way).
 void BM_MatmulThreads(benchmark::State& state) {
   Xoshiro256 rng(3);
   const Matrix a = Matrix::uniform(768, 512, rng);

@@ -16,8 +16,12 @@ std::vector<double> least_squares(const std::vector<std::vector<double>>& a,
     if (row.size() != k)
       throw std::invalid_argument("least_squares: ragged feature matrix");
 
-  // Normal equations: (A^T A + ridge I) c = A^T y.
-  std::vector<std::vector<double>> m(k, std::vector<double>(k + 1, 0.0));
+  // Normal equations: (A^T A + ridge I) c = A^T y. The rows are sized one
+  // by one: GCC 12 reads `vector(k, vector(k + 1))` as a possibly
+  // overflowing allocation (-Walloc-size-larger-than), though k + 1 cannot
+  // overflow for a vector's size.
+  std::vector<std::vector<double>> m(k);
+  for (auto& row : m) row.resize(k + 1, 0.0);
   for (std::size_t s = 0; s < n; ++s) {
     for (std::size_t i = 0; i < k; ++i) {
       for (std::size_t j = 0; j < k; ++j) m[i][j] += a[s][i] * a[s][j];

@@ -178,10 +178,13 @@ void open_session(DeviceSession& session, const pipeline::PreprocResult& pre,
       session.coo.push_back(kernels::upload_coo(dev, layer.coo, layer.n_dst));
   }
   for (std::uint32_t l = 0; l < params.num_layers(); ++l) {
-    session.w.push_back(
-        kernels::upload_matrix(dev, params.w(l), "w" + std::to_string(l)));
-    session.b.push_back(
-        kernels::upload_matrix(dev, params.b(l), "b" + std::to_string(l)));
+    // Names built by append: GCC 12 flags `"w" + std::to_string(l)` with a
+    // spurious -Wrestrict (its operator+ inserts at the front in place).
+    std::string name = "w";
+    name += std::to_string(l);
+    session.w.push_back(kernels::upload_matrix(dev, params.w(l), name));
+    name[0] = 'b';
+    session.b.push_back(kernels::upload_matrix(dev, params.b(l), name));
   }
   dev.clear_profile();  // kernel profile measures FWP/BWP only
 }

@@ -215,27 +215,28 @@ RunReport GraphTensorFramework::execute(const Dataset& data,
       // stay bit-identical to an uncached gather) streams through the
       // pinned ring buffer: chunked K gathers overlapping chunked T
       // uploads, priced through the same PCIe model as the schedule. The
-      // rows are the ones prepare's K stage synthesized, each copied once
-      // into the device buffer, which is allocated and charged like an
-      // upload_matrix.
+      // rows are the ones prepare's K stage synthesized. The staging
+      // buffer is a footprint, allocated and charged like an
+      // upload_matrix; assemble copies each row once, straight from the
+      // prepared table into the input table.
       const std::size_t gather_n = cache_look.gather_rows.size();
       gpusim::BufferId gather_buf = gpusim::kInvalidBuffer;
-      float* gathered = nullptr;
       if (gather_n > 0) {
         gather_buf = dev.alloc_f32(gather_n, data.spec.feature_dim,
-                                   "cache.gathered");
+                                   "cache.gathered",
+                                   gpusim::HostStorage::kNone);
         dev.charge_alloc_overhead("upload_matrix");
-        gathered = dev.f32(gather_buf).data();
       }
       sampling::Transfer staging(dev, gpusim::PcieModel(plan.pcie),
                                  /*pinned=*/true);
-      ring_ov = hier.ring().gather_prepared(
-          pre.embeddings, cache_look.gather_rows,
-          MatrixView(gathered, gather_n, data.spec.feature_dim), staging,
-          plan.cost.us_per_lookup_byte);
+      ring_ov = hier.ring().gather_prepared(pre.embeddings,
+                                            cache_look.gather_rows, staging,
+                                            plan.cost.us_per_lookup_byte);
       const gpusim::BufferId static_buf = hier.bind_static(dev);
-      session.input = hier.assemble(dev, static_buf, cache_look, gather_buf,
-                                    pre.batch.vid_order.size());
+      session.input = hier.assemble(
+          dev, static_buf, cache_look, gather_buf,
+          {.table = pre.embeddings, .by_destination = true},
+          pre.batch.vid_order.size());
       if (gather_buf != gpusim::kInvalidBuffer) dev.free(gather_buf);
       if (static_buf != gpusim::kInvalidBuffer) dev.free(static_buf);
       dev.clear_profile();  // staging/assembly is not FWP/BWP work

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <limits>
 #include <string>
 
 #include "fault/fault.hpp"
@@ -131,6 +132,9 @@ Device::Device(DeviceConfig config) : config_(config) {
 }
 
 void Device::track_alloc(std::size_t bytes) {
+  if (in_kernel_)
+    throw std::logic_error("device allocation inside a kernel is forbidden");
+  maybe_inject_alloc_fault(bytes, config_.memory_capacity_bytes, used_bytes_);
   if (used_bytes_ + bytes > config_.memory_capacity_bytes) {
     obs::metrics().counter("gpusim.oom_aborts").add(1);
     emit_oom_event(bytes, config_.memory_capacity_bytes - used_bytes_);
@@ -142,27 +146,35 @@ void Device::track_alloc(std::size_t bytes) {
 }
 
 BufferId Device::alloc_f32(std::size_t rows, std::size_t cols,
-                           std::string name) {
-  if (in_kernel_)
-    throw std::logic_error("device allocation inside a kernel is forbidden");
-  maybe_inject_alloc_fault(rows * cols * sizeof(float),
-                           config_.memory_capacity_bytes, used_bytes_);
+                           std::string name, HostStorage storage) {
   track_alloc(rows * cols * sizeof(float));
   Buffer& b = next_buffer(std::move(name), rows, cols);
-  b.f32.assign(rows * cols, 0.0f);
+  b.footprint_only = storage == HostStorage::kNone;
+  switch (storage) {
+    case HostStorage::kZeroed:
+      b.f32.assign(rows * cols, 0.0f);
+      break;
+    case HostStorage::kUninitialized:
+      b.f32.clear();  // keeps a reused slot's capacity, writes nothing
+      if constexpr (kPoisonUninitialized)
+        b.f32.assign(rows * cols, std::numeric_limits<float>::quiet_NaN());
+      else
+        b.f32.resize(rows * cols);
+      break;
+    case HostStorage::kNone:
+      decltype(b.f32)().swap(b.f32);
+      break;
+  }
   std::vector<std::uint32_t>().swap(b.u32);  // a kept slot's other type
   return static_cast<BufferId>(buffer_count_ - 1);
 }
 
 BufferId Device::alloc_u32(std::size_t count, std::string name) {
-  if (in_kernel_)
-    throw std::logic_error("device allocation inside a kernel is forbidden");
-  maybe_inject_alloc_fault(count * sizeof(std::uint32_t),
-                           config_.memory_capacity_bytes, used_bytes_);
   track_alloc(count * sizeof(std::uint32_t));
   Buffer& b = next_buffer(std::move(name), count, 1);
+  b.footprint_only = false;
   b.u32.assign(count, 0);
-  std::vector<float>().swap(b.f32);  // a kept slot's other type
+  decltype(b.f32)().swap(b.f32);  // a kept slot's other type
   return static_cast<BufferId>(buffer_count_ - 1);
 }
 
@@ -199,9 +211,21 @@ const Device::Buffer& Device::live_buffer(BufferId id) const {
   return buffers_[id];
 }
 
-std::span<float> Device::f32(BufferId id) { return live_buffer(id).f32; }
+void Device::require_host_storage(const Buffer& b) {
+  if (b.footprint_only)
+    throw std::logic_error("device buffer '" + b.name +
+                           "' is a modeled footprint with no host storage");
+}
+
+std::span<float> Device::f32(BufferId id) {
+  Buffer& b = live_buffer(id);
+  require_host_storage(b);
+  return b.f32;
+}
 std::span<const float> Device::f32(BufferId id) const {
-  return live_buffer(id).f32;
+  const Buffer& b = live_buffer(id);
+  require_host_storage(b);
+  return b.f32;
 }
 std::span<std::uint32_t> Device::u32(BufferId id) {
   return live_buffer(id).u32;

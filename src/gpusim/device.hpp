@@ -7,14 +7,25 @@
 // round-robin, per-SM LRU caches track embedding-row traffic, and the
 // latency model prices per-SM compute + memory work. See DESIGN.md §2 for
 // why this substitution preserves the paper's claims.
+//
+// A float buffer's host storage comes in three kinds (HostStorage, DESIGN.md
+// §9): zero-filled for kernels that accumulate into their output,
+// unfilled for buffers the caller overwrites in full (uploads, assembled
+// tables, dense products), and none at all for staging buffers whose rows
+// nothing reads. All three account identically: the modeled footprint is
+// rows x cols, whatever the host holds.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <new>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "gpusim/cache.hpp"
@@ -25,6 +36,26 @@ namespace gt::gpusim {
 
 using BufferId = std::uint32_t;
 inline constexpr BufferId kInvalidBuffer = ~0u;
+
+/// What a float buffer's host storage holds when alloc_f32 returns it.
+enum class HostStorage : std::uint8_t {
+  /// Every element +0.0f: for kernels that accumulate into the buffer.
+  kZeroed,
+  /// Unspecified: the caller overwrites every element before anything
+  /// reads it. In builds with assertions (no NDEBUG) every element starts
+  /// as a quiet NaN, so an element the writer misses poisons the results.
+  kUninitialized,
+  /// No host storage: the buffer is a modeled footprint only (kernels may
+  /// name it in BlockCtx calls), and f32() on it throws std::logic_error.
+  kNone,
+};
+
+/// True where HostStorage::kUninitialized buffers start as NaN.
+#ifdef NDEBUG
+inline constexpr bool kPoisonUninitialized = false;
+#else
+inline constexpr bool kPoisonUninitialized = true;
+#endif
 
 /// How a kernel's thread blocks may be executed on the host.
 ///
@@ -130,12 +161,18 @@ class Device {
   const DeviceConfig& config() const noexcept { return config_; }
 
   // -- Memory management ----------------------------------------------------
-  /// Allocate a float32 buffer of rows x cols. Throws GpuOomError.
-  BufferId alloc_f32(std::size_t rows, std::size_t cols, std::string name);
+  /// Allocate a float32 buffer of rows x cols whose host storage is
+  /// `storage`. Every kind checks the gpusim.alloc fault site, throws
+  /// GpuOomError past capacity, and moves the used/peak/allocation counts
+  /// by the same rows x cols x 4 bytes.
+  BufferId alloc_f32(std::size_t rows, std::size_t cols, std::string name,
+                     HostStorage storage = HostStorage::kZeroed);
   /// Allocate an index buffer of `count` u32 entries.
   BufferId alloc_u32(std::size_t count, std::string name);
   void free(BufferId id);
 
+  /// A float buffer's host storage. Throws std::logic_error for a buffer
+  /// allocated with HostStorage::kNone.
   std::span<float> f32(BufferId id);
   std::span<const float> f32(BufferId id) const;
   std::span<std::uint32_t> u32(BufferId id);
@@ -154,8 +191,9 @@ class Device {
   /// kernel body that threw leaves the device inside its kernel until
   /// here). Host-side capacity is kept: the SM caches' tables and pools,
   /// and the storage of every buffer still live at reset — an allocation
-  /// that lands in such a slot reuses it and is still zero-filled. free()
-  /// keeps releasing storage, so buffers a batch frees are not retained.
+  /// that lands in such a slot reuses it, filled as its HostStorage says.
+  /// free() keeps releasing storage, so buffers a batch frees are not
+  /// retained.
   void reset() noexcept;
 
   // -- Kernel execution -----------------------------------------------------
@@ -206,20 +244,46 @@ class Device {
   double profile_latency_us() const noexcept;
 
  private:
+  /// std::allocator whose value-less construct() default-initializes, so
+  /// resize() leaves new floats unwritten instead of zeroing them.
+  template <typename T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = DefaultInitAllocator<U>;
+    };
+    DefaultInitAllocator() = default;
+    template <typename U>
+    DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+    template <typename U>
+    void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+
+  static_assert(sizeof(float) == sizeof(std::uint32_t));
   struct Buffer {
     std::string name;
     std::size_t rows = 0;
     std::size_t cols = 0;
-    std::vector<float> f32;
+    std::vector<float, DefaultInitAllocator<float>> f32;
     std::vector<std::uint32_t> u32;
+    bool footprint_only = false;  // HostStorage::kNone
     bool live = false;
-    std::size_t bytes() const noexcept {
-      return f32.size() * sizeof(float) + u32.size() * sizeof(std::uint32_t);
-    }
+    /// Modeled footprint: rows x cols 4-byte elements, for every kind.
+    std::size_t bytes() const noexcept { return rows * cols * sizeof(float); }
   };
 
   Buffer& live_buffer(BufferId id);
   const Buffer& live_buffer(BufferId id) const;
+  /// Throws std::logic_error for a HostStorage::kNone buffer.
+  static void require_host_storage(const Buffer& b);
+  /// The allocation checks every kind shares: no allocation inside a
+  /// kernel, the gpusim.alloc fault site, and capacity.
   void track_alloc(std::size_t bytes);
   /// The slot for the next buffer id, reused when a slot from before the
   /// last reset() is left.

@@ -108,7 +108,8 @@ void free_graph(gpusim::Device& dev, const DeviceCoo& g) {
 
 gpusim::BufferId upload_matrix(gpusim::Device& dev, ConstMatrixView m,
                                std::string name) {
-  auto id = dev.alloc_f32(m.rows(), m.cols(), std::move(name));
+  auto id = dev.alloc_f32(m.rows(), m.cols(), std::move(name),
+                          gpusim::HostStorage::kUninitialized);
   auto dst = dev.f32(id);
   std::copy(m.data().begin(), m.data().end(), dst.begin());
   dev.charge_alloc_overhead("upload_matrix", 1);

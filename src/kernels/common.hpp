@@ -95,7 +95,8 @@ void free_graph(gpusim::Device& dev, const DeviceCsr& g);
 void free_graph(gpusim::Device& dev, const DeviceCsc& g);
 void free_graph(gpusim::Device& dev, const DeviceCoo& g);
 
-/// Upload a host matrix (owning or view) as a device f32 buffer.
+/// Upload a host matrix (owning or view) as a device f32 buffer: allocated
+/// unfilled, then every element copied once.
 gpusim::BufferId upload_matrix(gpusim::Device& dev, ConstMatrixView m,
                                std::string name);
 /// Download into a fresh owning matrix (cold path / tests).
@@ -106,6 +107,15 @@ void download_matrix_into(const gpusim::Device& dev, gpusim::BufferId id,
 /// Download into a view carved from `arena`.
 MatrixView download_matrix(const gpusim::Device& dev, gpusim::BufferId id,
                            Arena& arena);
+
+/// A device f32 buffer's host storage as a rows x cols matrix.
+inline MatrixView device_view(gpusim::Device& dev, gpusim::BufferId id) {
+  return MatrixView(dev.f32(id).data(), dev.rows(id), dev.cols(id));
+}
+inline ConstMatrixView device_view(const gpusim::Device& dev,
+                                   gpusim::BufferId id) {
+  return ConstMatrixView(dev.f32(id).data(), dev.rows(id), dev.cols(id));
+}
 
 /// Bytes of one embedding row of `buf`.
 inline std::size_t row_bytes(const gpusim::Device& dev, gpusim::BufferId buf) {

@@ -4,102 +4,29 @@
 #include <stdexcept>
 #include <vector>
 
+#include "tensor/ops.hpp"
+
 namespace gt::kernels::napa {
 
 using gpusim::BlockCtx;
 using gpusim::BlockSafety;
 using gpusim::BufferId;
 using gpusim::Device;
+using gpusim::HostStorage;
 using gpusim::KernelCategory;
 
 // Every NAPA kernel is vertex-centric: block b owns output row b (or the
 // edge range of destination b), so writes are disjoint and the kernels are
 // declared BlockSafety::kParallel throughout.
-
-namespace {
-
-// Row-level dense math of the Apply kernels. Every output element sees
-// exactly the operations of the naive loop, in the same order (a multiply,
-// then an add, ascending over the reduced index), so results are
-// bit-identical to it. Only the *independent* elements are regrouped: N of
-// them at a time live in a local array, which keeps their dependency chains
-// in registers instead of a store-to-load chain through the output row.
-
-/// out[j] += sum over k ascending of x[k] * w[k * ld + j], for j < N.
-template <std::size_t N>
-void xw_lanes(const float* x, const float* w, std::size_t feat,
-              std::size_t ld, float* out) {
-  float acc[N];
-  for (std::size_t j = 0; j < N; ++j) acc[j] = out[j];
-  for (std::size_t k = 0; k < feat; ++k) {
-    const float xk = x[k];
-    const float* wrow = w + k * ld;
-    for (std::size_t j = 0; j < N; ++j) acc[j] += xk * wrow[j];
-  }
-  for (std::size_t j = 0; j < N; ++j) out[j] = acc[j];
-}
-
-/// dx[j] = sum over c ascending of dz[c] * w[j * ld + c], for j < N.
-template <std::size_t N>
-void wdz_lanes(const float* dz, const float* w, std::size_t hidden,
-               std::size_t ld, float* dx) {
-  float acc[N] = {};
-  for (std::size_t c = 0; c < hidden; ++c) {
-    const float d = dz[c];
-    for (std::size_t j = 0; j < N; ++j) acc[j] += d * w[j * ld + c];
-  }
-  for (std::size_t j = 0; j < N; ++j) dx[j] = acc[j];
-}
-
-/// dw[k * ld + j] += x[k] * dy[j], for every k < feat and j < N.
-template <std::size_t N>
-void outer_lanes(const float* x, const float* dy, std::size_t feat,
-                 std::size_t ld, float* dw) {
-  float d[N];
-  for (std::size_t j = 0; j < N; ++j) d[j] = dy[j];
-  for (std::size_t k = 0; k < feat; ++k) {
-    const float xk = x[k];
-    float* row = dw + k * ld;
-    for (std::size_t j = 0; j < N; ++j) row[j] += xk * d[j];
-  }
-}
-
-/// Run `lanes.template operator()<N>(offset)` over [0, n) in blocks of 8,
-/// then one block each of 4, 2 and 1 for the remainder.
-template <typename Lanes>
-void for_lane_blocks(std::size_t n, Lanes&& lanes) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) lanes.template operator()<8>(i);
-  if (i + 4 <= n) { lanes.template operator()<4>(i); i += 4; }
-  if (i + 2 <= n) { lanes.template operator()<2>(i); i += 2; }
-  if (i < n) lanes.template operator()<1>(i);
-}
-
-/// out[c] += x . W[:, c] for a [feat, hidden] row-major W.
-void accumulate_xw(const float* x, const float* w, std::size_t feat,
-                   std::size_t hidden, float* out) {
-  for_lane_blocks(hidden, [&]<std::size_t N>(std::size_t c) {
-    xw_lanes<N>(x, w + c, feat, hidden, out + c);
-  });
-}
-
-/// dx[k] = dz . W[k, :] for a [feat, hidden] row-major W.
-void dz_wt(const float* dz, const float* w, std::size_t feat,
-           std::size_t hidden, float* dx) {
-  for_lane_blocks(feat, [&]<std::size_t N>(std::size_t k) {
-    wdz_lanes<N>(dz, w + k * hidden, hidden, hidden, dx + k);
-  });
-}
-
-/// dW += x^T dy for one row: dw[k][c] += x[k] * dy[c].
-void accumulate_outer(const float* x, const float* dy, std::size_t feat,
-                      std::size_t hidden, float* dw) {
-  for_lane_blocks(hidden, [&]<std::size_t N>(std::size_t c) {
-    outer_lanes<N>(x, dy + c, feat, hidden, dw + c);
-  });
-}
-
-}  // namespace
+//
+// The Apply kernels hand their dense products to the tensor ops
+// (tensor/ops.hpp), as the paper's Apply hands combination to the DL
+// framework's GEMM: X·W (Apply.MatMul), dZ·W^T (Apply.MatMulGradX) and
+// X^T·dZ (Apply.MatMulGradW). Their run_kernel block loops make only the
+// modeled calls (loads, weight-row runs, flops, stores) that price the
+// product; the product itself runs once after the launch, register-tiled
+// on the compute pool. Outputs a product overwrites in full are allocated
+// unfilled (HostStorage::kUninitialized).
 
 gpusim::BufferId neighbor_apply(Device& dev, const DeviceCsr& g, BufferId x,
                                 EdgeWeightMode gmode) {
@@ -213,44 +140,45 @@ gpusim::BufferId apply_dense(Device& dev, BufferId x, BufferId w, BufferId b,
   const std::size_t hidden = dev.cols(w);
   if (dev.rows(w) != feat)
     throw std::invalid_argument("apply_dense: W shape mismatch");
-  const BufferId out = dev.alloc_f32(rows, hidden, "apply.out");
+  const BufferId out =
+      dev.alloc_f32(rows, hidden, "apply.out", HostStorage::kUninitialized);
   dev.charge_alloc_overhead("apply.out");
   BufferId pre = gpusim::kInvalidBuffer;
   if (pre_act != nullptr) {
-    pre = dev.alloc_f32(rows, hidden, "apply.pre_act");
+    pre = dev.alloc_f32(rows, hidden, "apply.pre_act",
+                        HostStorage::kUninitialized);
     dev.charge_alloc_overhead("apply.pre_act");
     *pre_act = pre;
   }
-
-  auto xv = dev.f32(x);
-  auto wv = dev.f32(w);
-  auto bv = dev.f32(b);
-  auto ov = dev.f32(out);
-  std::span<float> pv;
-  if (pre != gpusim::kInvalidBuffer) pv = dev.f32(pre);
   const std::size_t hb = hidden * sizeof(float);
 
   dev.run_kernel("Apply.MatMul", KernelCategory::kCombination, rows,
                  [&](BlockCtx& ctx) {
     const std::uint32_t r = static_cast<std::uint32_t>(ctx.block_id());
     ctx.load(x, r, feat * sizeof(float));
-    const float* xr = &xv[static_cast<std::size_t>(r) * feat];
-    float* orow = &ov[static_cast<std::size_t>(r) * hidden];
     // Weight-matrix rows stream through the SM cache; blocks sharing an SM
     // reuse them.
     ctx.load_rows(w, 0, static_cast<std::uint32_t>(feat), hb);
-    accumulate_xw(xr, wv.data(), feat, hidden, orow);
     ctx.load(b, 0, hb);
-    for (std::size_t c = 0; c < hidden; ++c) {
-      orow[c] += bv[c];
-      if (pre != gpusim::kInvalidBuffer)
-        pv[static_cast<std::size_t>(r) * hidden + c] = orow[c];
-      if (relu && orow[c] < 0.0f) orow[c] = 0.0f;
-    }
     ctx.flops(2ull * feat * hidden + 2ull * hidden);
     if (pre != gpusim::kInvalidBuffer) ctx.store(pre, r, hb);
     ctx.store(out, r, hb);
   }, BlockSafety::kParallel);
+
+  // out = act(X W + b): the product, then bias, pre-activation copy and
+  // ReLU element by element.
+  const MatrixView ov = device_view(dev, out);
+  matmul_into(device_view(dev, x), device_view(dev, w), ov);
+  const auto bv = dev.f32(b);
+  float* pv = pre != gpusim::kInvalidBuffer ? dev.f32(pre).data() : nullptr;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const auto orow = ov.row(r);
+    for (std::size_t c = 0; c < hidden; ++c) {
+      orow[c] += bv[c];
+      if (pv != nullptr) pv[r * hidden + c] = orow[c];
+      if (relu && orow[c] < 0.0f) orow[c] = 0.0f;
+    }
+  }
   return out;
 }
 
@@ -261,8 +189,10 @@ DenseGrads apply_dense_backward(Device& dev, BufferId x, BufferId w,
   const std::size_t feat = dev.cols(x);
   const std::size_t hidden = dev.cols(w);
   DenseGrads grads;
-  const BufferId dz = dev.alloc_f32(rows, hidden, "apply.dz");
-  grads.dw = dev.alloc_f32(feat, hidden, "apply.dw");
+  const BufferId dz =
+      dev.alloc_f32(rows, hidden, "apply.dz", HostStorage::kUninitialized);
+  grads.dw =
+      dev.alloc_f32(feat, hidden, "apply.dw", HostStorage::kUninitialized);
   grads.db = dev.alloc_f32(1, hidden, "apply.db");
   dev.charge_alloc_overhead("apply.backward", 3);
 
@@ -293,32 +223,25 @@ DenseGrads apply_dense_backward(Device& dev, BufferId x, BufferId w,
 
   // dX = dZ W^T (skipped for first-layer backward: only dW/db needed).
   if (want_dx) {
-    grads.dx = dev.alloc_f32(rows, feat, "apply.dx");
+    grads.dx =
+        dev.alloc_f32(rows, feat, "apply.dx", HostStorage::kUninitialized);
     dev.charge_alloc_overhead("apply.dx", 1);
-    auto wv = dev.f32(w);
-    auto dxv = dev.f32(grads.dx);
     dev.run_kernel("Apply.MatMulGradX", KernelCategory::kCombination, rows,
                    [&](BlockCtx& ctx) {
       const std::uint32_t r = static_cast<std::uint32_t>(ctx.block_id());
       ctx.load(dz, r, hb);
-      const float* dzr = &dzv[static_cast<std::size_t>(r) * hidden];
-      float* dxr = &dxv[static_cast<std::size_t>(r) * feat];
       ctx.load_rows(w, 0, static_cast<std::uint32_t>(feat), hb);
-      dz_wt(dzr, wv.data(), feat, hidden, dxr);
       ctx.flops(2ull * feat * hidden);
       ctx.store(grads.dx, r, feat * sizeof(float));
     }, BlockSafety::kParallel);
+    matmul_a_bt_into(device_view(dev, dz), device_view(dev, w),
+                     device_view(dev, grads.dx));
   }
 
   // dW = X^T dZ and db = colsum(dZ): bandwidth-dominated reductions.
-  auto xv = dev.f32(x);
-  auto dwv = dev.f32(grads.dw);
-  auto dbv = dev.f32(grads.db);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* dzr = &dzv[r * hidden];
-    accumulate_outer(&xv[r * feat], dzr, feat, hidden, dwv.data());
-    for (std::size_t c = 0; c < hidden; ++c) dbv[c] += dzr[c];
-  }
+  matmul_at_b_into(device_view(dev, x), device_view(dev, dz),
+                   device_view(dev, grads.dw));
+  col_sum_into(device_view(dev, dz), device_view(dev, grads.db));
   dev.charge_kernel("Apply.MatMulGradW", KernelCategory::kCombination,
                     2ull * rows * feat * hidden + rows * hidden,
                     rows * (feat + hidden) * sizeof(float) +
@@ -333,25 +256,21 @@ gpusim::BufferId apply_matmul(Device& dev, BufferId x, BufferId w) {
   const std::size_t hidden = dev.cols(w);
   if (dev.rows(w) != feat)
     throw std::invalid_argument("apply_matmul: W shape mismatch");
-  const BufferId out = dev.alloc_f32(rows, hidden, "matmul.out");
+  const BufferId out =
+      dev.alloc_f32(rows, hidden, "matmul.out", HostStorage::kUninitialized);
   dev.charge_alloc_overhead("matmul.out");
-
-  auto xv = dev.f32(x);
-  auto wv = dev.f32(w);
-  auto ov = dev.f32(out);
   const std::size_t hb = hidden * sizeof(float);
 
   dev.run_kernel("Apply.MatMul", KernelCategory::kCombination, rows,
                  [&](BlockCtx& ctx) {
     const std::uint32_t r = static_cast<std::uint32_t>(ctx.block_id());
     ctx.load(x, r, feat * sizeof(float));
-    const float* xr = &xv[static_cast<std::size_t>(r) * feat];
-    float* orow = &ov[static_cast<std::size_t>(r) * hidden];
     ctx.load_rows(w, 0, static_cast<std::uint32_t>(feat), hb);
-    accumulate_xw(xr, wv.data(), feat, hidden, orow);
     ctx.flops(2ull * feat * hidden);
     ctx.store(out, r, hb);
   }, BlockSafety::kParallel);
+  matmul_into(device_view(dev, x), device_view(dev, w),
+              device_view(dev, out));
   return out;
 }
 
@@ -361,35 +280,29 @@ MatmulGrads apply_matmul_backward(Device& dev, BufferId x, BufferId w,
   const std::size_t feat = dev.cols(x);
   const std::size_t hidden = dev.cols(w);
   MatmulGrads grads;
-  grads.dw = dev.alloc_f32(feat, hidden, "matmul.dw");
+  grads.dw =
+      dev.alloc_f32(feat, hidden, "matmul.dw", HostStorage::kUninitialized);
   dev.charge_alloc_overhead("matmul.backward", 1);
-
-  auto wv = dev.f32(w);
-  auto dyv = dev.f32(dy);
   const std::size_t hb = hidden * sizeof(float);
 
   if (want_dx) {
-    grads.dx = dev.alloc_f32(rows, feat, "matmul.dx");
+    grads.dx =
+        dev.alloc_f32(rows, feat, "matmul.dx", HostStorage::kUninitialized);
     dev.charge_alloc_overhead("matmul.dx", 1);
-    auto dxv = dev.f32(grads.dx);
     dev.run_kernel("Apply.MatMulGradX", KernelCategory::kCombination, rows,
                    [&](BlockCtx& ctx) {
       const std::uint32_t r = static_cast<std::uint32_t>(ctx.block_id());
       ctx.load(dy, r, hb);
-      const float* dyr = &dyv[static_cast<std::size_t>(r) * hidden];
-      float* dxr = &dxv[static_cast<std::size_t>(r) * feat];
       ctx.load_rows(w, 0, static_cast<std::uint32_t>(feat), hb);
-      dz_wt(dyr, wv.data(), feat, hidden, dxr);
       ctx.flops(2ull * feat * hidden);
       ctx.store(grads.dx, r, feat * sizeof(float));
     }, BlockSafety::kParallel);
+    matmul_a_bt_into(device_view(dev, dy), device_view(dev, w),
+                     device_view(dev, grads.dx));
   }
 
-  auto xv = dev.f32(x);
-  auto dwv = dev.f32(grads.dw);
-  for (std::size_t r = 0; r < rows; ++r)
-    accumulate_outer(&xv[r * feat], &dyv[r * hidden], feat, hidden,
-                     dwv.data());
+  matmul_at_b_into(device_view(dev, x), device_view(dev, dy),
+                   device_view(dev, grads.dw));
   dev.charge_kernel("Apply.MatMulGradW", KernelCategory::kCombination,
                     2ull * rows * feat * hidden,
                     rows * (feat + hidden) * sizeof(float) +

@@ -10,6 +10,8 @@
 //  * Apply — the combination MLP (dense). The paper delegates this to
 //    TensorFlow primitives; here apply_dense is the equivalent kernel, and
 //    the baselines share it (dense math is identical across frameworks).
+//    Its products run in the tensor ops (tensor/ops.hpp); its block loop
+//    only prices them.
 //
 // Backward kernels traverse CSC (prepared by preprocessing, never translated
 // on-device): pull_backward produces source-side gradients,

@@ -55,20 +55,33 @@ bool LedgerData::load(const std::string& path, LedgerData* out,
       totals.int_at<std::size_t>("batches");
   if (!batches) return fail("totals.batches is not a non-negative integer");
   d.batches = *batches;
-  d.end_to_end_us = totals.number_at("end_to_end_us");
-  d.makespan_us = totals.number_at("makespan_us");
-  for (int i = 0; i < 4; ++i) d.stage_us[i] = totals.number_at(kStageKeys[i]);
-  d.preproc_parallel_us = totals.number_at("preproc_parallel_us");
-  d.fwp_us = totals.number_at("fwp_us");
-  d.bwp_us = totals.number_at("bwp_us");
-  d.overlap_hidden_us = totals.number_at("overlap_hidden_us");
+  // Every double goes through double_at: a string or an array where a
+  // number belongs fails the load, naming the member.
+  std::string bad;
+  auto number = [&](const JsonValue& obj, std::string_view key,
+                    const std::string& where, double* dst) {
+    const std::optional<double> v = obj.double_at(key);
+    if (v) *dst = *v;
+    else if (bad.empty()) bad = where;
+  };
+  number(totals, "end_to_end_us", "totals.end_to_end_us", &d.end_to_end_us);
+  number(totals, "makespan_us", "totals.makespan_us", &d.makespan_us);
+  for (int i = 0; i < 4; ++i)
+    number(totals, kStageKeys[i], std::string("totals.") + kStageKeys[i],
+           &d.stage_us[i]);
+  number(totals, "preproc_parallel_us", "totals.preproc_parallel_us",
+         &d.preproc_parallel_us);
+  number(totals, "fwp_us", "totals.fwp_us", &d.fwp_us);
+  number(totals, "bwp_us", "totals.bwp_us", &d.bwp_us);
+  number(totals, "overlap_hidden_us", "totals.overlap_hidden_us",
+         &d.overlap_hidden_us);
 
   for (const auto& [key, v] : doc.at("kernels").as_object()) {
     LedgerData::Kernel k;
     k.phase = v.string_at("phase");
     k.category = v.string_at("category");
-    k.total_us = v.number_at("total_us");
-    k.launches = v.number_at("launches");
+    number(v, "total_us", "kernels." + key + ".total_us", &k.total_us);
+    number(v, "launches", "kernels." + key + ".launches", &k.launches);
     d.kernels.emplace(key, std::move(k));
   }
 
@@ -78,8 +91,11 @@ bool LedgerData::load(const std::string& path, LedgerData* out,
   if (!samples)
     return fail("costmodel.residual.samples is not a non-negative integer");
   d.residual_samples = *samples;
-  d.residual_p50_pct = residual.number_at("p50_pct");
-  d.residual_p95_pct = residual.number_at("p95_pct");
+  number(residual, "p50_pct", "costmodel.residual.p50_pct",
+         &d.residual_p50_pct);
+  number(residual, "p95_pct", "costmodel.residual.p95_pct",
+         &d.residual_p95_pct);
+  if (!bad.empty()) return fail(bad + " is not a number");
   *out = std::move(d);
   return true;
 }

@@ -91,6 +91,17 @@ class JsonValue {
     return at(key).as_string();
   }
 
+  /// Member `key` as a double: a number reads as its value, and a null or
+  /// missing member as 0 (the writers print a non-finite number as null).
+  /// Empty when the member holds any other type, so a loader refuses a
+  /// string or an array where a number belongs instead of reading it as 0.
+  std::optional<double> double_at(std::string_view key) const noexcept {
+    const JsonValue& v = at(key);
+    if (v.is_number()) return v.num_;
+    if (v.is_null()) return 0.0;
+    return std::nullopt;
+  }
+
   /// Member `key` as an exact integer in [lo, hi]; empty when the member
   /// is missing, not a number, has a fraction or lies out of range. Use it
   /// instead of casting number_at(): casting an out-of-range double to an

@@ -199,15 +199,23 @@ bool BenchReport::from_json(const JsonValue& doc, BenchReport* out,
   if (!iterations)
     return fail("meta.iterations is not a non-negative integer");
   out->meta.iterations = *iterations;
-  for (const JsonValue& r : doc.at("rows").as_array()) {
+  const JsonArray& rows = doc.at("rows").as_array();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const JsonValue& r = rows[i];
     BenchRow row;
     row.figure = r.string_at("figure");
     row.metric = r.string_at("metric");
     row.dataset = r.string_at("dataset");
     row.framework = r.string_at("framework");
     row.unit = r.string_at("unit");
-    row.paper = r.number_at("paper");
-    row.measured = r.number_at("measured");
+    // A string or an array where a number belongs fails the load.
+    const std::optional<double> paper = r.double_at("paper");
+    const std::optional<double> measured = r.double_at("measured");
+    if (!paper || !measured)
+      return fail("rows[" + std::to_string(i) + "]." +
+                  (paper ? "measured" : "paper") + " is not a number");
+    row.paper = *paper;
+    row.measured = *measured;
     out->rows.push_back(std::move(row));
   }
   return true;

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "kernels/common.hpp"
+
 namespace gt::sampling {
 
 const char* to_string(CachePolicy policy) noexcept {
@@ -209,24 +211,31 @@ gpusim::BufferId CacheHierarchy::bind_static(gpusim::Device& dev) const {
   // Residency is dataset-lifetime: the selection and upload were paid once
   // at construction (host mirror), so re-binding to this batch's device
   // charges no alloc overhead and no transfer — only the memory footprint.
-  return dev.alloc_f32(static_order_.size(), dim_, "cache.static");
+  return dev.alloc_f32(static_order_.size(), dim_, "cache.static",
+                       gpusim::HostStorage::kNone);
 }
 
 gpusim::BufferId CacheHierarchy::assemble(gpusim::Device& dev,
                                           gpusim::BufferId static_buf,
                                           const Lookup& look,
                                           gpusim::BufferId gather_buffer,
+                                          GatheredRows gathered,
                                           std::size_t total_rows) const {
+  const std::size_t hits = look.static_rows.size();
+  const std::size_t total = hits + look.gather_rows.size();
+  const std::size_t need =
+      gathered.by_destination ? total_rows : look.gather_rows.size();
+  if (!look.gather_rows.empty() &&
+      (gathered.table.cols() != dim_ || gathered.table.rows() < need))
+    throw std::invalid_argument("CacheHierarchy::assemble: gathered rows "
+                                "do not match the lookup");
   const gpusim::BufferId out =
-      dev.alloc_f32(total_rows, dim_, "cache.assembled");
+      dev.alloc_f32(total_rows, dim_, "cache.assembled",
+                    gpusim::HostStorage::kUninitialized);
   dev.charge_alloc_overhead("cache.assembled");
   auto ov = dev.f32(out);
   std::span<const float> sv = static_mirror_.data();
-  std::span<const float> gv;
-  if (gather_buffer != gpusim::kInvalidBuffer) gv = dev.f32(gather_buffer);
 
-  const std::size_t hits = look.static_rows.size();
-  const std::size_t total = hits + look.gather_rows.size();
   dev.run_kernel("cache.Assemble", gpusim::KernelCategory::kOther, total,
                  [&](gpusim::BlockCtx& ctx) {
     const std::size_t i = ctx.block_id();
@@ -241,12 +250,25 @@ gpusim::BufferId CacheHierarchy::assemble(gpusim::Device& dev,
       const std::size_t g = i - hits;
       const std::uint32_t row = look.gather_rows[g];
       ctx.load(gather_buffer, static_cast<std::uint32_t>(g), row_bytes_);
-      std::copy_n(&gv[g * dim_], dim_,
+      const auto src = gathered.table.row(gathered.by_destination ? row : g);
+      std::copy_n(src.data(), dim_,
                   &ov[static_cast<std::size_t>(row) * dim_]);
       ctx.store(out, row, row_bytes_);
     }
   }, gpusim::BlockSafety::kParallel);
   return out;
+}
+
+gpusim::BufferId CacheHierarchy::assemble(gpusim::Device& dev,
+                                          gpusim::BufferId static_buf,
+                                          const Lookup& look,
+                                          gpusim::BufferId gather_buffer,
+                                          std::size_t total_rows) const {
+  GatheredRows gathered;
+  if (gather_buffer != gpusim::kInvalidBuffer)
+    gathered.table = kernels::device_view(dev, gather_buffer);
+  return assemble(dev, static_buf, look, gather_buffer, gathered,
+                  total_rows);
 }
 
 }  // namespace gt::sampling

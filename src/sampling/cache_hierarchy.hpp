@@ -22,7 +22,10 @@
 //
 // Numerics never change: every row the model consumes is byte-identical to
 // an uncached flat gather. The hierarchy only re-prices which rows count
-// against the scheduled lookup/transfer stages.
+// against the scheduled lookup/transfer stages. On the host each row is
+// copied once per batch: assemble() writes the input table from the static
+// mirror and from the batch's prepared table (GatheredRows), while the
+// device buffers it names for the static and gathered rows are footprints.
 //
 // Concurrency & faults: lookup() is const and pure — it classifies a batch
 // against the current tier state without mutating it. commit() applies the
@@ -47,6 +50,7 @@
 #include "graph/csr.hpp"
 #include "sampling/ring_buffer.hpp"
 #include "tensor/matrix.hpp"
+#include "tensor/view.hpp"
 
 namespace gt::sampling {
 
@@ -154,14 +158,37 @@ class CacheHierarchy {
   /// resident buffer of the tier's footprint, no selection, no copy and no
   /// alloc-overhead charge — the upload happened once at hierarchy
   /// construction (modeled by the host-side mirror, which assemble()
-  /// reads). Returns kInvalidBuffer when the tier is empty.
+  /// reads). The buffer is a footprint only (HostStorage::kNone). Returns
+  /// kInvalidBuffer when the tier is empty.
   gpusim::BufferId bind_static(gpusim::Device& dev) const;
 
+  /// Host copies of the gathered (non-static) rows that assemble() reads.
+  /// Gathered row g of a Lookup is table.row(g) (lookup order, as in a
+  /// gather buffer) or, with by_destination, table.row(look.gather_rows[g])
+  /// (a batch's prepared input table, which holds every row at its
+  /// destination).
+  struct GatheredRows {
+    ConstMatrixView table;
+    bool by_destination = false;
+  };
+
   /// Assemble the layer-0 input table (total_rows x dim) from the resident
-  /// static rows plus the freshly gathered rows in `gather_buffer`
-  /// (lookup order). Static rows are copied from the host mirror; their
-  /// modeled loads hit `static_buf`, the buffer bind_static returned.
-  /// Mirrors EmbeddingCache::assemble.
+  /// static rows plus the gathered rows. Static rows are copied from the
+  /// host mirror and their modeled loads hit `static_buf`, the buffer
+  /// bind_static returned; gathered rows are copied from `gathered` and
+  /// their modeled loads hit row g of `gather_buffer`, which may be a
+  /// footprint (HostStorage::kNone). Every row of the table is written
+  /// once, so it is allocated unfilled. Throws std::invalid_argument if
+  /// `gathered` has the wrong width or too few rows. Mirrors
+  /// EmbeddingCache::assemble.
+  gpusim::BufferId assemble(gpusim::Device& dev, gpusim::BufferId static_buf,
+                            const Lookup& look,
+                            gpusim::BufferId gather_buffer,
+                            GatheredRows gathered,
+                            std::size_t total_rows) const;
+
+  /// The same with the gathered rows read from `gather_buffer`'s own host
+  /// storage, in lookup order.
   gpusim::BufferId assemble(gpusim::Device& dev, gpusim::BufferId static_buf,
                             const Lookup& look,
                             gpusim::BufferId gather_buffer,

@@ -25,19 +25,14 @@ PinnedRingBuffer::Overlap PinnedRingBuffer::gather_through(
 
 PinnedRingBuffer::Overlap PinnedRingBuffer::gather_prepared(
     ConstMatrixView prepared, std::span<const std::uint32_t> rows,
-    MatrixView out, const Transfer& transfer,
-    double us_per_gather_byte) const {
-  if (out.rows() != rows.size() || out.cols() != dim_ ||
-      prepared.cols() != dim_)
+    const Transfer& transfer, double us_per_gather_byte) const {
+  if (prepared.cols() != dim_)
     throw std::invalid_argument("PinnedRingBuffer::gather_prepared: shape "
                                 "mismatch");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i] >= prepared.rows())
+  for (const std::uint32_t row : rows)
+    if (row >= prepared.rows())
       throw std::out_of_range("PinnedRingBuffer::gather_prepared: row out "
                               "of range");
-    const auto src = prepared.row(rows[i]);
-    std::copy(src.begin(), src.end(), out.row(i).begin());
-  }
   return price(rows.size(), transfer, us_per_gather_byte);
 }
 

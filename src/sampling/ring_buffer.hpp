@@ -10,12 +10,14 @@
 // pipeline depth: the gather for chunk c+slots must wait until chunk c's
 // transfer has drained its slot.
 //
-// Numerics: the slots are modeled, not materialized. Each row is written
-// once, straight to its destination, so the output is bit-identical to a
-// flat gather; only the pricing (the Overlap result) reflects the
-// pipelining. Two front ends feed one pricing loop: gather_through
-// synthesizes rows from the embedding table, gather_prepared copies rows
-// the K stage already synthesized into a prepared batch.
+// Numerics: the slots are modeled, not materialized; only the pricing (the
+// Overlap result) reflects the pipelining. Two front ends feed one pricing
+// loop. gather_through synthesizes rows from the embedding table, each
+// written once straight to its destination, so its output is
+// bit-identical to a flat gather. gather_prepared only prices rows the K
+// stage already synthesized into a prepared batch: the cached path's
+// CacheHierarchy::assemble reads them from the prepared table itself, so
+// each row is copied once on the host (DESIGN.md §15).
 #pragma once
 
 #include <cstddef>
@@ -63,15 +65,15 @@ class PinnedRingBuffer {
                          const Transfer& transfer,
                          double us_per_gather_byte) const;
 
-  /// Prepared-row front end: row i of `out` <- prepared.row(rows[i]), the
-  /// rows a batch's K stage already synthesized, each copied once. Priced
-  /// exactly like gather_through over rows.size() rows. Throws
-  /// std::invalid_argument unless `out` is rows.size() x dim() and
-  /// `prepared` has dim() columns, and std::out_of_range for a row index
-  /// past prepared.rows().
+  /// Prepared-row front end: price the chunk pipeline for staging
+  /// prepared.row(rows[i]) for every i — rows a batch's K stage already
+  /// synthesized — exactly as gather_through prices rows.size() rows. No
+  /// row is copied: the caller reads them from `prepared` where they are
+  /// consumed. Throws std::invalid_argument unless `prepared` has dim()
+  /// columns, and std::out_of_range for a row index past prepared.rows().
   Overlap gather_prepared(ConstMatrixView prepared,
                           std::span<const std::uint32_t> rows,
-                          MatrixView out, const Transfer& transfer,
+                          const Transfer& transfer,
                           double us_per_gather_byte) const;
 
   const RingConfig& config() const noexcept { return config_; }

@@ -1,8 +1,10 @@
 #include "tensor/ops.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "util/parallel.hpp"
 
@@ -13,76 +15,182 @@ void require(bool ok, const char* what) {
   if (!ok) throw std::invalid_argument(what);
 }
 
+// ---- Register-tiled dense products ------------------------------------------
+//
+// Each product computes its output in tiles of up to 4 rows x 8 columns
+// whose accumulators stay in SSE registers across the whole inner loop.
+// Every output element starts from +0.0f and adds its a*b products in
+// ascending inner index, each a multiply and then an add: exactly the
+// operations of the naive loop, so the results are bit-identical to it
+// for any shape, tiling and thread count. (Seeding an accumulator with its
+// first product instead would turn a -0.0 product into a -0.0 sum.) The
+// vector type is a GCC extension over baseline x86-64 SSE2: no -march and
+// no FMA, whose fused rounding would change the bits.
+
+using F4 = float __attribute__((vector_size(16)));
+
+F4 load4(const float* p) {
+  F4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store4(float* p, F4 v) { std::memcpy(p, &v, sizeof v); }
+
+/// W consecutive elements of one output row, held in registers: W / 4
+/// full vectors, or for W < 4 one vector whose upper lanes stay unused.
+/// Every load and store moves exactly the W floats of the row. (With W < 4
+/// held as plain floats, GCC 12's vectorizer combined a row's load with
+/// the next row's, reading past the end of an operand.)
+template <std::size_t W>
+struct Lanes {
+  static constexpr std::size_t kVectors = (W + 3) / 4;
+  F4 v[kVectors];
+  void zero() {
+#pragma GCC unroll 2
+    for (std::size_t q = 0; q < kVectors; ++q) v[q] = F4{};
+  }
+  void load(const float* p) {
+    if constexpr (W % 4 == 0) {
+#pragma GCC unroll 2
+      for (std::size_t q = 0; q < kVectors; ++q) v[q] = load4(p + 4 * q);
+    } else {
+      static_assert(W < 4);
+      v[0] = F4{};
+      std::memcpy(&v[0], p, W * sizeof(float));
+    }
+  }
+  void store(float* p) const {
+    if constexpr (W % 4 == 0) {
+#pragma GCC unroll 2
+      for (std::size_t q = 0; q < kVectors; ++q) store4(p + 4 * q, v[q]);
+    } else {
+      std::memcpy(p, &v[0], W * sizeof(float));
+    }
+  }
+  /// this += a * b, lane by lane.
+  void madd(float a, const Lanes& b) {
+#pragma GCC unroll 2
+    for (std::size_t q = 0; q < kVectors; ++q) v[q] += a * b.v[q];
+  }
+};
+
+/// Run `f.template operator()<W>(j)` over the columns [0, n) in lane
+/// blocks of 8, then at most one block each of 4, 2 and 1: every width
+/// runs the same tiles.
+template <typename F>
+void for_lane_blocks(std::size_t n, F&& f) {
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) f.template operator()<8>(j);
+  if (j + 4 <= n) { f.template operator()<4>(j); j += 4; }
+  if (j + 2 <= n) { f.template operator()<2>(j); j += 2; }
+  if (j < n) f.template operator()<1>(j);
+}
+
+/// The same over the output rows [lo, hi) in row blocks of 4, 2 and 1.
+template <typename F>
+void for_row_blocks(std::size_t lo, std::size_t hi, F&& f) {
+  std::size_t i = lo;
+  for (; i + 4 <= hi; i += 4) f.template operator()<4>(i);
+  if (i + 2 <= hi) { f.template operator()<2>(i); i += 2; }
+  if (i < hi) f.template operator()<1>(i);
+}
+
+/// C[r][0, W) = sum over p in [0, k) of A[r][p] * B[p][0, W), r < MR. Row r
+/// of A starts at a + r * lda, row p of B at b + p * ldb, row r of C at
+/// c + r * ldc.
+template <std::size_t MR, std::size_t W>
+void ab_tile(const float* a, std::size_t lda, const float* b, std::size_t ldb,
+             std::size_t k, float* c, std::size_t ldc) {
+  Lanes<W> acc[MR];
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < MR; ++r) acc[r].zero();
+  for (std::size_t p = 0; p < k; ++p) {
+    Lanes<W> bp;
+    bp.load(b + p * ldb);
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < MR; ++r) acc[r].madd(a[r * lda + p], bp);
+  }
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < MR; ++r) acc[r].store(c + r * ldc);
+}
+
+/// C[r][0, W) += sum over p in [p_lo, p_hi) of A[p][r] * B[p][0, W): the
+/// transposed-A tile, resumed from C's partial sums unless p_lo == 0, when
+/// it starts from +0.0f. Column r of A starts at a + r, row p at
+/// a + p * lda.
+template <std::size_t MR, std::size_t W>
+void atb_tile(const float* a, std::size_t lda, const float* b,
+              std::size_t ldb, std::size_t p_lo, std::size_t p_hi, float* c,
+              std::size_t ldc) {
+  Lanes<W> acc[MR];
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < MR; ++r) {
+    if (p_lo == 0)
+      acc[r].zero();
+    else
+      acc[r].load(c + r * ldc);
+  }
+  for (std::size_t p = p_lo; p < p_hi; ++p) {
+    Lanes<W> bp;
+    bp.load(b + p * ldb);
+    const float* ap = a + p * lda;
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < MR; ++r) acc[r].madd(ap[r], bp);
+  }
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < MR; ++r) acc[r].store(c + r * ldc);
+}
+
+/// Rows of A that matmul_at_b's tiles sweep before moving to the next
+/// tile: a block of A's rows stays cache-resident while every tile of the
+/// chunk reads its columns, and the partial sums round-trip through C
+/// exactly (a float store and reload), so the block size is invisible in
+/// the results.
+constexpr std::size_t kAtbRowBlock = 32;
+
 // Below this many FLOPs the pool dispatch overhead outweighs the work and
-// the tiled kernel runs inline on the calling thread. The kernel itself is
-// the same either way, so the cutoff never affects results.
+// the product runs inline on the calling thread. The tiles are the same
+// either way, so the cutoff never affects results.
 constexpr std::uint64_t kParallelFlopThreshold = 1ull << 18;
 
-// Split the `tiles` row tiles of an output matrix into compute-engine
-// chunks and run `fn(tile_lo, tile_hi)` over each. Chunk boundaries fall
-// between row tiles, and no tile's math depends on its chunk, so results
-// are bit-identical for any thread count. Each chunk counts its own FLOPs
-// (workers' counters are merged at join by ThreadPool::parallel_for).
+/// Run fn(row_lo, row_hi) over the output rows [0, m), split on 4-row tile
+/// boundaries into compute-engine chunks (inline for small products). No
+/// element's arithmetic depends on its chunk, so results are bit-identical
+/// for any thread count.
 template <typename F>
-void for_each_tile_chunk(std::size_t tiles, std::uint64_t total_flops,
-                         F&& fn) {
-  if (tiles == 0) return;
+void for_row_chunks(std::size_t m, std::uint64_t total_flops, F&& fn) {
+  if (m == 0) return;
+  const std::size_t tiles = (m + 3) / 4;
+  auto rows = [&](std::size_t t_lo, std::size_t t_hi) {
+    fn(t_lo * 4, std::min(m, t_hi * 4));
+  };
   if (total_flops < kParallelFlopThreshold) {
-    fn(std::size_t{0}, tiles);
+    rows(0, tiles);
     return;
   }
-  compute_parallel_for(0, tiles, fn);
+  compute_parallel_for(0, tiles, rows);
+}
+
+/// C = A * B over row-major storage: A [m, k] at `a`, B [k, n] at `b`.
+void ab_product(const float* a, const float* b, float* c, std::size_t m,
+                std::size_t k, std::size_t n) {
+  for_row_chunks(m, 2ull * m * k * n, [&](std::size_t lo, std::size_t hi) {
+    for_row_blocks(lo, hi, [&]<std::size_t MR>(std::size_t i) {
+      for_lane_blocks(n, [&]<std::size_t W>(std::size_t j) {
+        ab_tile<MR, W>(a + i * k, k, b + j, n, k, c + i * n + j, n);
+      });
+    });
+  });
 }
 }  // namespace
 
-void matmul_into_tiled(ConstMatrixView a, ConstMatrixView b, MatrixView out,
-                       const MatmulTiling& tiling) {
+void matmul_into(ConstMatrixView a, ConstMatrixView b, MatrixView out) {
   require(a.cols() == b.rows(), "matmul: inner dimensions differ");
   require(out.rows() == a.rows() && out.cols() == b.cols(),
           "matmul: output shape mismatch");
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  if (m == 0 || n == 0) return;
-  const std::size_t mr = std::max<std::size_t>(1, tiling.row_tile);
-  const std::size_t kc = std::max<std::size_t>(1, tiling.k_block);
-  const std::size_t nc = std::max<std::size_t>(1, tiling.n_block);
-  const std::size_t tiles = (m + mr - 1) / mr;
-  for_each_tile_chunk(tiles, 2ull * m * k * n, [&](std::size_t t_lo,
-                                                   std::size_t t_hi) {
-    for (std::size_t t = t_lo; t < t_hi; ++t) {
-      const std::size_t i_lo = t * mr;
-      const std::size_t i_hi = std::min(m, i_lo + mr);
-      for (std::size_t i = i_lo; i < i_hi; ++i) {
-        auto crow = out.row(i);
-        for (std::size_t j = 0; j < n; ++j) crow[j] = 0.0f;
-      }
-      // B panel [p0, p0+kc) x [j0, j0+nc) stays cache-resident while the
-      // tile's rows stream over it; per output element the inner index p
-      // ascends across and within panels, so the accumulation order never
-      // depends on the blocking of the other dimensions.
-      for (std::size_t p0 = 0; p0 < k; p0 += kc) {
-        const std::size_t p_hi = std::min(k, p0 + kc);
-        for (std::size_t j0 = 0; j0 < n; j0 += nc) {
-          const std::size_t j_hi = std::min(n, j0 + nc);
-          for (std::size_t p = p0; p < p_hi; ++p) {
-            const auto brow = b.row(p);
-            for (std::size_t i = i_lo; i < i_hi; ++i) {
-              const float av = a.at(i, p);
-              auto crow = out.row(i);
-              for (std::size_t j = j0; j < j_hi; ++j)
-                crow[j] += av * brow[j];
-            }
-          }
-        }
-      }
-    }
-    const std::size_t rows =
-        std::min(m, t_hi * mr) - std::min(m, t_lo * mr);
-    FlopCounter::instance().add(2ull * rows * k * n);
-  });
-}
-
-void matmul_into(ConstMatrixView a, ConstMatrixView b, MatrixView out) {
-  matmul_into_tiled(a, b, out, MatmulTiling{});
+  ab_product(a.data().data(), b.data().data(), out.data().data(), a.rows(),
+             a.cols(), b.cols());
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
@@ -97,42 +205,24 @@ void matmul_at_b_into(ConstMatrixView a, ConstMatrixView b, MatrixView out) {
   require(out.rows() == a.cols() && out.cols() == b.cols(),
           "matmul_at_b: output shape mismatch");
   const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
-  if (m == 0 || n == 0) return;
-  const MatmulTiling tiling;
-  const std::size_t mr = tiling.row_tile, kc = tiling.k_block,
-                    nc = tiling.n_block;
-  const std::size_t tiles = (m + mr - 1) / mr;
-  for_each_tile_chunk(tiles, 2ull * m * k * n, [&](std::size_t t_lo,
-                                                   std::size_t t_hi) {
-    for (std::size_t t = t_lo; t < t_hi; ++t) {
-      // Output rows are columns of A: tile t owns C rows [i_lo, i_hi) and
-      // reads A column-strided; B panels are reused exactly as in matmul.
-      const std::size_t i_lo = t * mr;
-      const std::size_t i_hi = std::min(m, i_lo + mr);
-      for (std::size_t i = i_lo; i < i_hi; ++i) {
-        auto crow = out.row(i);
-        for (std::size_t j = 0; j < n; ++j) crow[j] = 0.0f;
-      }
-      for (std::size_t p0 = 0; p0 < k; p0 += kc) {
-        const std::size_t p_hi = std::min(k, p0 + kc);
-        for (std::size_t j0 = 0; j0 < n; j0 += nc) {
-          const std::size_t j_hi = std::min(n, j0 + nc);
-          for (std::size_t p = p0; p < p_hi; ++p) {
-            const auto arow = a.row(p);
-            const auto brow = b.row(p);
-            for (std::size_t i = i_lo; i < i_hi; ++i) {
-              const float av = arow[i];
-              auto crow = out.row(i);
-              for (std::size_t j = j0; j < j_hi; ++j)
-                crow[j] += av * brow[j];
-            }
-          }
-        }
-      }
+  if (k == 0) {
+    out.fill(0.0f);
+    return;
+  }
+  const float* ad = a.data().data();
+  const float* bd = b.data().data();
+  float* cd = out.data().data();
+  // Chunks own disjoint rows of C (columns of A); inside a chunk the rows
+  // of A stream in blocks and each block visits every tile of the chunk.
+  for_row_chunks(m, 2ull * m * k * n, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t p0 = 0; p0 < k; p0 += kAtbRowBlock) {
+      const std::size_t p1 = std::min(k, p0 + kAtbRowBlock);
+      for_row_blocks(lo, hi, [&]<std::size_t MR>(std::size_t i) {
+        for_lane_blocks(n, [&]<std::size_t W>(std::size_t j) {
+          atb_tile<MR, W>(ad + i, m, bd + j, n, p0, p1, cd + i * n + j, n);
+        });
+      });
     }
-    const std::size_t rows =
-        std::min(m, t_hi * mr) - std::min(m, t_lo * mr);
-    FlopCounter::instance().add(2ull * rows * k * n);
   });
 }
 
@@ -148,36 +238,16 @@ void matmul_a_bt_into(ConstMatrixView a, ConstMatrixView b, MatrixView out) {
   require(out.rows() == a.rows() && out.cols() == b.rows(),
           "matmul_a_bt: output shape mismatch");
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-  if (m == 0 || n == 0) return;
-  const MatmulTiling tiling;
-  const std::size_t mr = tiling.row_tile, nc = tiling.n_block;
-  const std::size_t tiles = (m + mr - 1) / mr;
-  for_each_tile_chunk(tiles, 2ull * m * k * n, [&](std::size_t t_lo,
-                                                   std::size_t t_hi) {
-    for (std::size_t t = t_lo; t < t_hi; ++t) {
-      const std::size_t i_lo = t * mr;
-      const std::size_t i_hi = std::min(m, i_lo + mr);
-      // Each element is one full-k dot product (k is a feature dimension,
-      // small enough that both operand rows sit in L1); blocking over B's
-      // rows keeps the [j0, j_hi) panel resident across the tile's rows.
-      for (std::size_t j0 = 0; j0 < n; j0 += nc) {
-        const std::size_t j_hi = std::min(n, j0 + nc);
-        for (std::size_t i = i_lo; i < i_hi; ++i) {
-          const auto arow = a.row(i);
-          auto crow = out.row(i);
-          for (std::size_t j = j0; j < j_hi; ++j) {
-            const auto brow = b.row(j);
-            float acc = 0.0f;
-            for (std::size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-            crow[j] = acc;
-          }
-        }
-      }
-    }
-    const std::size_t rows =
-        std::min(m, t_hi * mr) - std::min(m, t_lo * mr);
-    FlopCounter::instance().add(2ull * rows * k * n);
-  });
+  // A * B^T is A times B transposed: pack B^T once ([k, n], reused per
+  // calling thread), then run the A * B tiles. Element (i, j) is still the
+  // dot product of A's row i and B's row j in ascending inner index.
+  thread_local std::vector<float> bt;
+  bt.resize(k * n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto brow = b.row(j);
+    for (std::size_t p = 0; p < k; ++p) bt[p * n + j] = brow[p];
+  }
+  ab_product(a.data().data(), bt.data(), out.data().data(), m, k, n);
 }
 
 Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
@@ -211,7 +281,6 @@ void add_bias_into(ConstMatrixView a, ConstMatrixView bias, MatrixView out) {
     auto orow = out.row(r);
     for (std::size_t c = 0; c < a.cols(); ++c) orow[c] = arow[c] + brow[c];
   }
-  FlopCounter::instance().add(a.size());
 }
 
 Matrix add_bias(const Matrix& a, const Matrix& bias) {
@@ -231,7 +300,6 @@ void zip_into(ConstMatrixView a, ConstMatrixView b, MatrixView out, F&& f,
   const auto db = b.data();
   auto dout = out.data();
   for (std::size_t i = 0; i < da.size(); ++i) dout[i] = f(da[i], db[i]);
-  FlopCounter::instance().add(da.size());
 }
 
 template <typename F>
@@ -279,7 +347,6 @@ void scale_into(ConstMatrixView a, float s, MatrixView out) {
   const auto da = a.data();
   auto dout = out.data();
   for (std::size_t i = 0; i < da.size(); ++i) dout[i] = da[i] * s;
-  FlopCounter::instance().add(da.size());
 }
 
 Matrix scale(const Matrix& a, float s) {
@@ -295,7 +362,6 @@ void relu_into(ConstMatrixView a, MatrixView out) {
   auto dout = out.data();
   for (std::size_t i = 0; i < da.size(); ++i)
     dout[i] = da[i] > 0.0f ? da[i] : 0.0f;
-  FlopCounter::instance().add(da.size());
 }
 
 Matrix relu(const Matrix& a) {
@@ -331,7 +397,6 @@ void softmax_rows_into(ConstMatrixView a, MatrixView out) {
     }
     for (std::size_t c = 0; c < a.cols(); ++c) orow[c] /= sum;
   }
-  FlopCounter::instance().add(4ull * a.size());
 }
 
 Matrix softmax_rows(const Matrix& a) {
@@ -373,7 +438,6 @@ float softmax_cross_entropy_into(ConstMatrixView logits,
       loss -= std::log(std::max(p, 1e-12f));
     }
     loss *= inv_n;
-    FlopCounter::instance().add(4ull * logits.size());
   }
   return loss;
 }
@@ -397,7 +461,6 @@ void col_sum_into(ConstMatrixView a, MatrixView out) {
     auto orow = out.row(0);
     for (std::size_t c = 0; c < a.cols(); ++c) orow[c] += arow[c];
   }
-  FlopCounter::instance().add(a.size());
 }
 
 Matrix col_sum(const Matrix& a) {

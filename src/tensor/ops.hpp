@@ -1,10 +1,18 @@
-// Dense linear-algebra kernels with FLOP accounting.
+// Dense linear-algebra kernels.
 //
 // These are the "combination" (MLP) building blocks: the paper's Apply
 // primitive delegates dense math to the underlying DL framework
-// (tf.matmul / bias_add / relu); here they are implemented directly.
-// Every op adds its floating-point work to the thread-local FlopCounter so
-// benchmarks (Fig 18) can report FLOPs without instrumenting call sites.
+// (tf.matmul / bias_add / relu); here they are implemented directly, and
+// the NAPA Apply kernels (kernels/napa.cpp) call them for their products.
+//
+// The three matmuls are register-tiled: each output tile of up to 4 rows x
+// 8 columns accumulates in SSE registers, and large products split over
+// the process-wide compute engine (util/parallel.hpp). Every output element
+// starts from +0.0f and adds its products in ascending inner index, a
+// multiply then an add, so each result is bit-identical to the naive loop
+// at any shape and thread count. matmul and matmul_a_bt split over output
+// rows; matmul_at_b splits over the output rows too (columns of A) and
+// streams A's rows in blocks inside each chunk.
 //
 // Each op comes in two flavours: an owning form returning a fresh Matrix,
 // and an `_into` form writing to a caller-supplied MatrixView (typically
@@ -19,31 +27,12 @@
 
 #include "tensor/matrix.hpp"
 #include "tensor/view.hpp"
-#include "util/flops.hpp"
 
 namespace gt {
-
-/// Blocking parameters for the dense matmul family. `row_tile` rows of the
-/// output are produced together (the A column values live in registers
-/// while a B panel streams through); `k_block` x `n_block` bounds the B
-/// panel so it stays cache-resident across those rows. Large matmuls are
-/// parallelized over row tiles on the process-wide compute engine
-/// (util/parallel.hpp); results are bit-identical for any thread count
-/// because each output element's accumulation order over the inner
-/// dimension is ascending regardless of which chunk its row lands in.
-/// Defaults come from the bench_micro_kernels tile sweep (EXPERIMENTS.md).
-struct MatmulTiling {
-  std::size_t row_tile = 8;   // MR: output rows per register tile
-  std::size_t k_block = 128;  // KC: inner-dimension block
-  std::size_t n_block = 256;  // NC: output-column block
-};
 
 /// C = A * B.           A: [m,k], B: [k,n] -> C: [m,n].   2*m*k*n FLOPs.
 Matrix matmul(const Matrix& a, const Matrix& b);
 void matmul_into(ConstMatrixView a, ConstMatrixView b, MatrixView out);
-/// As matmul_into but with explicit blocking (bench tile sweep entry point).
-void matmul_into_tiled(ConstMatrixView a, ConstMatrixView b, MatrixView out,
-                       const MatmulTiling& tiling);
 
 /// C = A^T * B.         A: [k,m], B: [k,n] -> C: [m,n].
 Matrix matmul_at_b(const Matrix& a, const Matrix& b);

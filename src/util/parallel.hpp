@@ -68,8 +68,7 @@ class ComputeWorkerScope {
 /// compute_threads() ceil-division chunks on the shared pool and blocks
 /// until done. fn(lo, hi) must be chunk-invariant (see the contract above).
 /// Runs inline when the engine is serial, the range is empty, or the caller
-/// is already a compute worker. Worker-thread FlopCounter deltas are merged
-/// into the calling thread's counter at join (ThreadPool::parallel_for).
+/// is already a compute worker.
 template <typename F>
 void compute_parallel_for(std::size_t begin, std::size_t end, F&& fn) {
   if (end <= begin) return;

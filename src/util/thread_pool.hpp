@@ -3,10 +3,8 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -15,8 +13,6 @@
 #include <thread>
 #include <type_traits>
 #include <vector>
-
-#include "util/flops.hpp"
 
 namespace gt {
 
@@ -56,11 +52,6 @@ class ThreadPool {
   /// replaces — so chunked algorithms stay deterministic. The first
   /// exception thrown by any chunk is rethrown on the calling thread after
   /// all chunks complete.
-  ///
-  /// FLOPs counted by a chunk land in the *worker's* thread-local
-  /// FlopCounter; each chunk's delta is captured and the sum is merged into
-  /// the calling thread's counter at join, so callers observe the exact
-  /// serial count (Fig 18 reporting stays right under parallel matmul).
   template <typename F>
   void parallel_for(std::size_t begin, std::size_t end, std::size_t chunks,
                     F&& fn) {
@@ -68,19 +59,13 @@ class ThreadPool {
     const std::size_t n = end - begin;
     chunks = std::max<std::size_t>(1, std::min(chunks, n));
     const std::size_t per = (n + chunks - 1) / chunks;
-    std::atomic<std::uint64_t> worker_flops{0};
     std::vector<std::future<void>> futures;
     futures.reserve(chunks);
     for (std::size_t c = 0; c < chunks; ++c) {
       const std::size_t lo = begin + c * per;
       if (lo >= end) break;
       const std::size_t hi = std::min(end, lo + per);
-      futures.push_back(submit([&fn, &worker_flops, c, lo, hi] {
-        const std::uint64_t before = FlopCounter::instance().count();
-        fn(c, lo, hi);
-        worker_flops.fetch_add(FlopCounter::instance().count() - before,
-                               std::memory_order_relaxed);
-      }));
+      futures.push_back(submit([&fn, c, lo, hi] { fn(c, lo, hi); }));
     }
     std::exception_ptr first_error;
     for (auto& f : futures) {
@@ -90,8 +75,6 @@ class ThreadPool {
         if (!first_error) first_error = std::current_exception();
       }
     }
-    FlopCounter::instance().add(
-        worker_flops.load(std::memory_order_relaxed));
     if (first_error) std::rethrow_exception(first_error);
   }
 

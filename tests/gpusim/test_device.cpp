@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <utility>
+
+#include "fault/fault.hpp"
 
 namespace gt::gpusim {
 namespace {
@@ -263,6 +267,118 @@ TEST(Device, ResetAfterAThrowingKernelMatchesAFreshDevice) {
   EXPECT_EQ(dev.memory_stats().alloc_count, 3u);
   EXPECT_EQ(dev.memory_stats().current_bytes,
             (16 + 4) * sizeof(float) + 5 * sizeof(std::uint32_t));
+}
+
+constexpr HostStorage kStorageKinds[] = {
+    HostStorage::kZeroed, HostStorage::kUninitialized, HostStorage::kNone};
+
+/// Requested/available bytes of the GpuOomError `alloc` throws.
+template <typename Alloc>
+std::pair<std::size_t, std::size_t> oom_sizes(Alloc&& alloc) {
+  try {
+    alloc();
+  } catch (const GpuOomError& e) {
+    return {e.requested_bytes, e.available_bytes};
+  }
+  ADD_FAILURE() << "expected GpuOomError";
+  return {0, 0};
+}
+
+// The three host-storage kinds differ only in what the host holds: used,
+// peak and allocation counts, buffer_bytes and the out-of-memory error are
+// those of a zero-filled allocation of the same shape, before and after
+// reset().
+TEST(Device, EveryHostStorageKindAccountsLikeAZeroedBuffer) {
+  for (const HostStorage kind : kStorageKinds) {
+    Device zeroed(small_config());
+    Device dev(small_config());
+    for (int round = 0; round < 2; ++round) {
+      const BufferId za = zeroed.alloc_f32(100, 10, "a");
+      const BufferId a = dev.alloc_f32(100, 10, "a", kind);
+      expect_same_memory(dev.memory_stats(), zeroed.memory_stats());
+      EXPECT_EQ(dev.buffer_bytes(a), zeroed.buffer_bytes(za));
+      EXPECT_EQ(dev.rows(a), 100u);
+      EXPECT_EQ(dev.cols(a), 10u);
+      zeroed.alloc_f32(7, 3, "b");
+      dev.alloc_f32(7, 3, "b", kind);
+      zeroed.free(za);
+      dev.free(a);
+      expect_same_memory(dev.memory_stats(), zeroed.memory_stats());
+      EXPECT_EQ(oom_sizes([&] { dev.alloc_f32(1 << 20, 4, "huge", kind); }),
+                oom_sizes([&] { zeroed.alloc_f32(1 << 20, 4, "huge"); }));
+      expect_same_memory(dev.memory_stats(), zeroed.memory_stats());
+      dev.reset();
+      zeroed.reset();
+    }
+  }
+}
+
+// Every kind is one occurrence of the gpusim.alloc fault site, and a
+// kind=oom entry surfaces as GpuOomError, also on a reset device.
+TEST(Device, EveryHostStorageKindHitsTheAllocFaultSite) {
+  for (const HostStorage kind : kStorageKinds) {
+    Device dev(small_config());
+    for (int round = 0; round < 2; ++round) {
+      fault::FaultPlan plan =
+          fault::FaultPlan::parse("gpusim.alloc@batch=0:layer=2");
+      {
+        fault::PlanScope scope(&plan, 0);
+        dev.alloc_u32(4, "first");
+        dev.alloc_f32(2, 2, "second", kind);
+        EXPECT_THROW(dev.alloc_f32(2, 2, "third", kind),
+                     fault::InjectedFault);
+      }
+      EXPECT_EQ(plan.injected(), 1u);
+      EXPECT_EQ(dev.memory_stats().alloc_count, 2u);
+      fault::FaultPlan oom =
+          fault::FaultPlan::parse("gpusim.alloc@batch=0:kind=oom");
+      {
+        fault::PlanScope scope(&oom, 0);
+        EXPECT_THROW(dev.alloc_f32(2, 2, "oom", kind), GpuOomError);
+      }
+      EXPECT_EQ(dev.memory_stats().alloc_count, 2u);
+      dev.reset();
+    }
+  }
+}
+
+TEST(Device, FootprintBufferHasNoHostStorage) {
+  Device dev(small_config());
+  const BufferId f = dev.alloc_f32(8, 4, "footprint", HostStorage::kNone);
+  EXPECT_THROW(dev.f32(f), std::logic_error);
+  EXPECT_THROW(std::as_const(dev).f32(f), std::logic_error);
+  // Kernels may still name it: its rows are modeled traffic.
+  const KernelStats ks = dev.run_kernel(
+      "k", KernelCategory::kOther, 2, [&](BlockCtx& ctx) {
+        ctx.load(f, static_cast<std::uint32_t>(ctx.block_id()), 16);
+      });
+  EXPECT_EQ(ks.cache_loaded_bytes, 32u);
+  // Its slot, reused after reset, holds a readable buffer again.
+  dev.reset();
+  const BufferId a = dev.alloc_f32(8, 4, "a");
+  ASSERT_EQ(a, f);
+  ASSERT_EQ(dev.f32(a).size(), 32u);
+  for (float v : dev.f32(a)) EXPECT_EQ(v, 0.0f);
+}
+
+// In builds with assertions an unfilled buffer starts as NaN — on a fresh
+// slot and on one reused after reset — so an element its writer misses
+// shows up in the results. Release builds leave the storage unwritten.
+TEST(Device, UninitializedBufferStartsAsNanUnderAssertions) {
+  Device dev(small_config());
+  const BufferId kept = dev.alloc_f32(6, 6, "kept");
+  std::fill(dev.f32(kept).begin(), dev.f32(kept).end(), 1.0f);
+  dev.reset();
+  for (int round = 0; round < 2; ++round) {
+    const BufferId u =
+        dev.alloc_f32(4, 5, "u", HostStorage::kUninitialized);
+    ASSERT_EQ(dev.f32(u).size(), 20u);
+    if constexpr (kPoisonUninitialized) {
+      for (float v : dev.f32(u)) EXPECT_TRUE(std::isnan(v));
+    }
+    dev.f32(u)[19] = 2.0f;  // the storage is writable either way
+    dev.free(u);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -267,6 +268,51 @@ void emit_edited(JsonWriter& w, const JsonValue& v, TreeEdit& edit) {
   }
 }
 
+bool number_or_null(const JsonValue& v) {
+  return v.is_number() || v.is_null();
+}
+
+/// `doc` with the first `"key": <number>` member's value replaced by
+/// `replacement` (raw JSON text).
+std::string swap_number(const std::string& doc, const std::string& key,
+                        const std::string& replacement) {
+  const std::regex member("\"" + key + "\": *-?[0-9][-+.eE0-9]*");
+  return std::regex_replace(doc, member, "\"" + key + "\": " + replacement,
+                            std::regex_constants::format_first_only);
+}
+
+// A number swapped for a string or an array fails the load, and the
+// message names the member — it used to load as 0.
+TEST(ArtifactLoaders, RejectAStringOrArrayWhereANumberBelongs) {
+  const std::vector<std::string> seeds = writer_documents();
+  const std::string path = ::testing::TempDir() + "gt_loader_types.json";
+  for (const std::string replacement : {"\"mutant\"", "[1, \"x\"]"}) {
+    std::string err;
+    BenchReport report;
+    std::ofstream(path, std::ios::trunc)
+        << swap_number(seeds[0], "measured", replacement);
+    EXPECT_FALSE(BenchReport::load(path, &report, &err)) << replacement;
+    EXPECT_NE(err.find("rows[0].measured"), std::string::npos) << err;
+    for (const char* key : {"fwp_us", "total_us", "p95_pct"}) {
+      attrib::LedgerData ledger;
+      err.clear();
+      std::ofstream(path, std::ios::trunc)
+          << swap_number(seeds[1], key, replacement);
+      EXPECT_FALSE(attrib::LedgerData::load(path, &ledger, &err))
+          << key << " = " << replacement;
+      EXPECT_NE(err.find(key), std::string::npos) << err;
+    }
+  }
+  // null still reads as 0 (a non-finite number is written as null).
+  attrib::LedgerData ledger;
+  std::string err;
+  std::ofstream(path, std::ios::trunc)
+      << swap_number(seeds[1], "fwp_us", "null");
+  ASSERT_TRUE(attrib::LedgerData::load(path, &ledger, &err)) << err;
+  EXPECT_EQ(ledger.fwp_us, 0.0);
+  std::remove(path.c_str());
+}
+
 // Seeded mutation fuzzing of the two artifact loaders, after
 // Options.SurvivesMutatedArgv: kernels.json (LedgerData::load, read by
 // gt_explain and bench_diff's attribution) and the bench report
@@ -318,6 +364,11 @@ TEST(ArtifactLoaders, SurviveMutatedWriterDocuments) {
     err.clear();
     if (BenchReport::load(path, &report, &err)) {
       ++report_loaded;
+      // Every double the loader read was a number or null.
+      const JsonValue tree = json_parse_or_null(doc);
+      for (const JsonValue& r : tree.at("rows").as_array())
+        for (const char* key : {"paper", "measured"})
+          EXPECT_TRUE(number_or_null(r.at(key))) << key;
       EXPECT_EQ(report.schema_version, kBenchReportSchemaVersion);
       EXPECT_GE(report.meta.threads, 0);
       EXPECT_GE(report.meta.iterations, 0);
@@ -337,6 +388,17 @@ TEST(ArtifactLoaders, SurviveMutatedWriterDocuments) {
                 tree.at("totals").number_at("batches"));
       EXPECT_EQ(static_cast<double>(ledger.residual_samples),
                 tree.at("costmodel").at("residual").number_at("samples"));
+      for (const auto& [key, v] : tree.at("totals").as_object()) {
+        if (key == "batches") continue;
+        EXPECT_TRUE(number_or_null(v)) << key;
+      }
+      for (const auto& [key, v] : tree.at("kernels").as_object())
+        for (const char* member : {"total_us", "launches"})
+          EXPECT_TRUE(number_or_null(v.at(member))) << key << member;
+      for (const char* member : {"p50_pct", "p95_pct"})
+        EXPECT_TRUE(number_or_null(
+            tree.at("costmodel").at("residual").at(member)))
+            << member;
       attrib::write_json(attrib::attribute(seed_ledger, ledger), sink);
       attrib::write_text(attrib::attribute(ledger, seed_ledger), sink, 5);
       attrib::run_self_test(ledger, sink);

@@ -291,31 +291,53 @@ TEST(CacheHierarchy, AssembleMatchesFlatGather) {
   Transfer staging(dev, gpusim::PcieModel(cfg.pcie), /*pinned=*/true);
   const auto table_ov = hier.ring().gather_through(
       data.embeddings, look.gather_vids, gathered, staging, 6.0e-3);
+  // The five-argument form reads the gathered rows from the uploaded
+  // gather buffer, in lookup order.
   auto gather_buf = kernels::upload_matrix(dev, gathered, "gathered");
   auto static_buf = hier.bind_static(dev);
   auto assembled = hier.assemble(dev, static_buf, look, gather_buf,
                                  pre.batch.vid_order.size());
   EXPECT_EQ(kernels::download_matrix(dev, assembled), pre.embeddings);
+  const gpusim::KernelStats flat = dev.profile().back();
 
-  // The prepared-row front end copies the same rows out of the batch's
-  // prepared table straight into a device buffer, priced identically.
+  // The one-copy path: the ring only prices the rows the batch's K stage
+  // prepared, identically, and assemble copies them straight from the
+  // prepared table; the gather buffer is a footprint its loads name.
   const std::size_t n = look.gather_rows.size();
-  auto prepared_buf =
-      dev.alloc_f32(n, data.spec.feature_dim, "prepared-gathered");
   const auto prepared_ov = hier.ring().gather_prepared(
-      pre.embeddings, look.gather_rows,
-      MatrixView(dev.f32(prepared_buf).data(), n, data.spec.feature_dim),
-      staging, 6.0e-3);
+      pre.embeddings, look.gather_rows, staging, 6.0e-3);
   EXPECT_GT(prepared_ov.chunks, 1u);
   EXPECT_EQ(prepared_ov.chunks, table_ov.chunks);
   EXPECT_EQ(prepared_ov.bytes, table_ov.bytes);
   EXPECT_EQ(prepared_ov.gather_us, table_ov.gather_us);
   EXPECT_EQ(prepared_ov.transfer_us, table_ov.transfer_us);
   EXPECT_EQ(prepared_ov.critical_us, table_ov.critical_us);
-  EXPECT_EQ(kernels::download_matrix(dev, prepared_buf), gathered);
-  auto from_prepared = hier.assemble(dev, static_buf, look, prepared_buf,
-                                     pre.batch.vid_order.size());
+  const auto footprint = dev.alloc_f32(n, data.spec.feature_dim,
+                                       "prepared-gathered",
+                                       gpusim::HostStorage::kNone);
+  auto from_prepared = hier.assemble(
+      dev, static_buf, look, footprint,
+      {.table = pre.embeddings, .by_destination = true},
+      pre.batch.vid_order.size());
   EXPECT_EQ(kernels::download_matrix(dev, from_prepared), pre.embeddings);
+  const gpusim::KernelStats one_copy = dev.profile().back();
+  EXPECT_EQ(one_copy.name, flat.name);
+  EXPECT_EQ(one_copy.blocks, flat.blocks);
+  EXPECT_EQ(one_copy.flops, flat.flops);
+  EXPECT_EQ(one_copy.global_bytes, flat.global_bytes);
+  EXPECT_EQ(one_copy.cache_loaded_bytes, flat.cache_loaded_bytes);
+  EXPECT_EQ(one_copy.cache_hit_bytes, flat.cache_hit_bytes);
+  EXPECT_EQ(one_copy.latency_us, flat.latency_us);
+
+  // A source that cannot hold the lookup's rows is refused.
+  const Matrix narrow(pre.batch.vid_order.size(), data.spec.feature_dim - 1);
+  EXPECT_THROW(hier.assemble(dev, static_buf, look, footprint,
+                             {.table = narrow, .by_destination = true},
+                             pre.batch.vid_order.size()),
+               std::invalid_argument);
+  EXPECT_THROW(hier.assemble(dev, static_buf, look, footprint,
+                             pre.batch.vid_order.size()),
+               std::logic_error);  // a footprint has no rows to read
 }
 
 TEST(PinnedRingBuffer, SingleSlotSerializesFully) {
@@ -376,19 +398,13 @@ TEST(PinnedRingBuffer, GatherPreparedRejectsMisshapenMatrices) {
   const PinnedRingBuffer ring(TinyEnv::kDim, RingConfig{2, 2});
   Transfer transfer(dev, gpusim::PcieModel(gpusim::PcieParams{}),
                     /*pinned=*/true);
-  const Matrix prepared = env.table.gather(std::vector<Vid>{4, 5, 6});
   std::vector<std::uint32_t> rows{2, 0};
-  Matrix short_out(rows.size() - 1, TinyEnv::kDim);
-  EXPECT_THROW(ring.gather_prepared(prepared, rows, short_out, transfer, 1.0),
-               std::invalid_argument);
-  Matrix wide_out(rows.size(), TinyEnv::kDim + 1);
-  EXPECT_THROW(ring.gather_prepared(prepared, rows, wide_out, transfer, 1.0),
-               std::invalid_argument);
   const Matrix narrow_prepared(3, TinyEnv::kDim - 1);
-  Matrix out(rows.size(), TinyEnv::kDim);
-  EXPECT_THROW(
-      ring.gather_prepared(narrow_prepared, rows, out, transfer, 1.0),
-      std::invalid_argument);
+  EXPECT_THROW(ring.gather_prepared(narrow_prepared, rows, transfer, 1.0),
+               std::invalid_argument);
+  const Matrix wide_prepared(3, TinyEnv::kDim + 1);
+  EXPECT_THROW(ring.gather_prepared(wide_prepared, rows, transfer, 1.0),
+               std::invalid_argument);
 }
 
 TEST(PinnedRingBuffer, GatherPreparedRejectsARowPastThePreparedTable) {
@@ -399,12 +415,18 @@ TEST(PinnedRingBuffer, GatherPreparedRejectsARowPastThePreparedTable) {
                     /*pinned=*/true);
   const Matrix prepared = env.table.gather(std::vector<Vid>{4, 5, 6});
   std::vector<std::uint32_t> rows{2, 3};
-  Matrix out(rows.size(), TinyEnv::kDim);
-  EXPECT_THROW(ring.gather_prepared(prepared, rows, out, transfer, 1.0),
+  EXPECT_THROW(ring.gather_prepared(prepared, rows, transfer, 1.0),
                std::out_of_range);
+  // In range, the rows are priced like a gather of as many rows.
   rows = {2, 0};
-  ring.gather_prepared(prepared, rows, out, transfer, 1.0);
-  EXPECT_EQ(out, env.table.gather(std::vector<Vid>{6, 4}));
+  std::vector<Vid> vids{6, 4};
+  Matrix out(vids.size(), TinyEnv::kDim);
+  const auto gathered = ring.gather_through(env.table, vids, out, transfer,
+                                            1.0);
+  const auto priced = ring.gather_prepared(prepared, rows, transfer, 1.0);
+  EXPECT_EQ(priced.chunks, gathered.chunks);
+  EXPECT_EQ(priced.bytes, gathered.bytes);
+  EXPECT_EQ(priced.critical_us, gathered.critical_us);
 }
 
 }  // namespace

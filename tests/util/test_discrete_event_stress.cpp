@@ -35,9 +35,10 @@ RandomDag make_dag(std::uint64_t seed, std::size_t n, std::size_t capacity) {
       if (rng.uniform(10) == 0) deps.push_back(dag.ids[j]);
     const double dur = 1.0 + static_cast<double>(rng.uniform(20));
     const bool grouped = rng.uniform(5) == 0;
-    dag.ids.push_back(dag.sim.add_task(
-        "t" + std::to_string(i), dur, dag.cpu, deps,
-        grouped ? dag.group : kNoGroup));
+    std::string name = "t";  // `"t" + ...` trips GCC 12's -Wrestrict
+    name += std::to_string(i);
+    dag.ids.push_back(dag.sim.add_task(name, dur, dag.cpu, deps,
+                                       grouped ? dag.group : kNoGroup));
     dag.durations.push_back(dur);
     dag.deps.push_back(std::move(deps));
     dag.in_group.push_back(grouped);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/flops.hpp"
 
 #include <algorithm>
 #include <array>
@@ -119,21 +118,6 @@ TEST(ThreadPool, ParallelForClampsChunksToRangeSize) {
   const std::vector<std::array<std::size_t, 3>> expected{
       {0, 0, 1}, {1, 1, 2}, {2, 2, 3}};
   EXPECT_EQ(seen, expected);
-}
-
-TEST(ThreadPool, ParallelForMergesWorkerFlopCounters) {
-  // FlopCounter is thread-local; parallel_for must fold each chunk's delta
-  // back into the calling thread's counter at join so callers observe the
-  // exact serial count regardless of where chunks ran.
-  ThreadPool pool(4);
-  FlopCounter::instance().reset();
-  FlopCounter::instance().add(5);  // pre-existing count must be preserved
-  pool.parallel_for(0, 1000, 8,
-                    [](std::size_t, std::size_t lo, std::size_t hi) {
-                      FlopCounter::instance().add(2 * (hi - lo));
-                    });
-  EXPECT_EQ(FlopCounter::instance().count(), 5u + 2u * 1000u);
-  FlopCounter::instance().reset();
 }
 
 TEST(ThreadPool, ParallelForRethrowsFirstChunkFailure) {
