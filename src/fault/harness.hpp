@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/service.hpp"
+#include "frameworks/framework.hpp"
 
 namespace gt::fault {
 
@@ -28,8 +29,7 @@ std::vector<std::string> default_fault_specs();
 struct HarnessOptions {
   std::string dataset = "products";
   std::uint64_t dataset_seed = 3;
-  std::vector<std::string> backends = {"PyG", "DGL", "GNNAdvisor",
-                                       "Prepro-GT"};
+  std::vector<std::string> backends = frameworks::framework_names();
   std::vector<std::size_t> worker_counts = {1, 4};
   std::vector<std::string> fault_specs = default_fault_specs();
   std::size_t batches = 6;

@@ -1,8 +1,6 @@
 #include "frameworks/baselines.hpp"
 
 #include "frameworks/common.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "kernels/dl_approach.hpp"
 #include "kernels/graph_approach.hpp"
 #include "kernels/napa.hpp"
@@ -253,94 +251,59 @@ RunReport BaselineFramework::execute(const Dataset& /*data*/,
                                      const BatchSpec& spec,
                                      pipeline::BatchContext& ctx) {
   RunReport report;
-  const std::uint32_t L = model.num_layers;
   const bool graph_compute =
       options_.compute == BaselineOptions::Compute::kGraph;
-  const sampling::ReindexFormats formats = reindex_formats();
-
-  pipeline::PreprocResult& pre = ctx.preproc();
-  report.input_table_bytes = pre.embeddings.bytes();
+  const bool advisor = options_.compute == BaselineOptions::Compute::kAdvisor;
+  report.input_table_bytes = ctx.preproc().embeddings.bytes();
 
   // Explicit combination-first programming exists only for unweighted
   // models in the baselines' user code.
   const bool comb_first = spec.order == OrderPolicy::kCombinationFirst &&
                           model.g == EdgeWeightMode::kNone;
 
-  // SGD updates are staged and committed only when the batch reaches a
-  // reported outcome; a faulted attempt the service retries must leave
-  // the parameters untouched (see detail::SgdStage).
   detail::SgdStage sgd(params, spec.learning_rate);
   try {
     detail::DeviceSession& session = device_session();
-    detail::open_session(session, pre, params, formats);
+    detail::open_session(session, ctx.preproc(), params, reindex_formats());
     gpusim::Device& dev = session.dev;
     LayerIo io{dev, model, options_};
 
     std::vector<LayerCache> caches;
-    BufferId x = session.input;
-    dev.set_phase(gpusim::KernelPhase::kForward);
-    {
-      GT_OBS_STAGE(fwp_span, kForward, "FWP", "FWP");
-      for (std::uint32_t l = 0; l < L; ++l) {
-        const bool relu = model.relu_at(l);
-        LayerCache cache =
-            graph_compute
-                ? forward_graph(io, session.coo[l], x, session.w[l],
-                                session.b[l], relu, comb_first)
-                : forward_dl(io, session.csr[l], x, session.w[l],
-                             session.b[l], relu, comb_first,
-                             options_.compute ==
-                                 BaselineOptions::Compute::kAdvisor);
-        if (comb_first)
-          report.layer_comb_first_fwd[l] = report.layer_comb_first_bwd[l] = 1;
-        x = cache.out;
-        caches.push_back(cache);
-      }
-    }
-
-    report.fwp_us = dev.profile_latency_us();
-
-    if (spec.inference) {
-      detail::finalize_report(report, dev, ctx.schedule(),
-                              options_.overlap_compute, &ctx);
-      return report;
-    }
-
-    // Loss + backward land past the fwp_us boundary and carry the
-    // backward phase tag, matching bwp_us = total - fwp_us below.
-    dev.set_phase(gpusim::KernelPhase::kBackward);
-    gpusim::BufferId dy = kInvalidBuffer;
-    report.loss = detail::loss_head(dev, x, pre, model.output_dim, spec.seed,
-                                    &dy, &ctx);
-
-    {
-      GT_OBS_STAGE(bwp_span, kBackward, "BWP", "BWP");
-      for (std::uint32_t li = L; li-- > 0;) {
-        const BufferId x_in = li == 0 ? session.input : caches[li - 1].out;
-        const bool relu = model.relu_at(li);
-        const bool want_dx = li > 0;
-        napa::DenseGrads grads =
-            graph_compute
-                ? backward_graph(io, session.coo[li], x_in, session.w[li],
-                                 caches[li], dy, relu, want_dx)
-                : backward_dl(io, session.csr[li], x_in, session.w[li],
-                              caches[li], dy, relu, want_dx);
-        sgd.stage(dev, li, grads.dw, grads.db, ctx);
-        dev.free(grads.dw);
-        dev.free(grads.db);
-        dev.free(dy);
-        dy = grads.dx;
-        release_cache(dev, caches[li]);
-      }
-    }
-
-    report.bwp_us = dev.profile_latency_us() - report.fwp_us;
+    detail::LayerStep step;
+    step.forward = [&](std::uint32_t l, BufferId x) {
+      const bool relu = model.relu_at(l);
+      caches.push_back(
+          graph_compute
+              ? forward_graph(io, session.coo[l], x, session.w[l],
+                              session.b[l], relu, comb_first)
+              : forward_dl(io, session.csr[l], x, session.w[l], session.b[l],
+                           relu, comb_first, advisor));
+      if (comb_first)
+        report.layer_comb_first_fwd[l] = report.layer_comb_first_bwd[l] = 1;
+      return caches.back().out;
+    };
+    step.backward = [&](std::uint32_t l, BufferId x, BufferId dy,
+                        bool want_dx) {
+      const bool relu = model.relu_at(l);
+      return graph_compute ? backward_graph(io, session.coo[l], x,
+                                            session.w[l], caches[l], dy, relu,
+                                            want_dx)
+                           : backward_dl(io, session.csr[l], x, session.w[l],
+                                         caches[l], dy, relu, want_dx);
+    };
+    step.release = [&](std::uint32_t l) { release_cache(dev, caches[l]); };
+    std::vector<detail::LayerPass> passes;
+    detail::run_layers(dev, session.input, model, spec, ctx, step, sgd, report,
+                       passes);
     detail::finalize_report(report, dev, ctx.schedule(),
                             options_.overlap_compute, &ctx);
   } catch (const gpusim::GpuOomError& e) {
     detail::record_oom(report, e, ctx);
   }
-  sgd.commit();  // reported outcome: success, or OOM with partial backward
+  // The commit point: a success or an OOM applies the staged SGD updates
+  // (an OOM's, of the layers whose backward completed); any other
+  // exception skips it (detail::SgdStage).
+  sgd.commit();
   return report;
 }
 

@@ -167,7 +167,6 @@ void open_session(DeviceSession& session, const pipeline::PreprocResult& pre,
   if (upload_input) {
     session.input = kernels::upload_matrix(dev, pre.embeddings, "input-table");
   }
-  session.input_table_bytes = pre.embeddings.bytes();
 
   for (const auto& layer : pre.layers) {
     if (formats.csr)
@@ -223,31 +222,62 @@ void SgdStage::stage(gpusim::Device& dev, std::uint32_t layer,
 }
 
 void SgdStage::commit() {
-  for (const Pending& p : pending_) {
-    const std::vector<std::size_t>* b =
-        row_slices_ && p.layer < row_slices_->size()
-            ? &(*row_slices_)[p.layer]
-            : nullptr;
-    if (b && b->size() >= 2 && b->back() == p.dw.rows()) {
-      // Tensor-parallel commit: each device owns a disjoint row slice of
-      // dw, applied in device order. Elementwise-independent, hence
-      // bit-identical to the full-matrix branch below.
-      for (std::size_t d = 0; d + 1 < b->size(); ++d) {
-        const std::size_t lo = (*b)[d];
-        const std::size_t hi = (*b)[d + 1];
-        if (hi == lo) continue;
-        params_->sgd_update_rows(
-            p.layer, lo,
-            ConstMatrixView(p.dw.data().data() + lo * p.dw.cols(), hi - lo,
-                            p.dw.cols()),
-            lr_);
-      }
-      params_->sgd_update_bias(p.layer, p.db, lr_);
-    } else {
-      params_->sgd_update(p.layer, p.dw, p.db, lr_);
+  for (const Pending& p : pending_)
+    params_->sgd_update(p.layer, p.dw, p.db, lr_);
+  pending_.clear();
+}
+
+void run_layers(gpusim::Device& dev, gpusim::BufferId input,
+                const models::GnnModelConfig& model, const BatchSpec& spec,
+                pipeline::BatchContext& ctx, const LayerStep& step,
+                SgdStage& sgd, RunReport& report,
+                std::vector<LayerPass>& passes) {
+  const std::uint32_t L = model.num_layers;
+  // Run one pass of layer `l` and record its profile slice and modeled µs.
+  auto pass = [&](std::uint32_t l, bool backward, auto&& run) {
+    const double before = dev.profile_latency_us();
+    const std::size_t lo = dev.profile().size();
+    auto result = run();
+    passes.push_back({{l, backward, lo, dev.profile().size()},
+                      dev.profile_latency_us() - before});
+    return result;
+  };
+
+  std::vector<gpusim::BufferId> outs;  // layer l's output feeds layer l+1
+  gpusim::BufferId x = input;
+  dev.set_phase(gpusim::KernelPhase::kForward);
+  {
+    GT_OBS_STAGE(fwp_span, kForward, "FWP", "FWP");
+    for (std::uint32_t l = 0; l < L; ++l) {
+      x = pass(l, /*backward=*/false, [&] { return step.forward(l, x); });
+      outs.push_back(x);
     }
   }
-  pending_.clear();
+  report.fwp_us = dev.profile_latency_us();
+  if (spec.inference) return;
+
+  // Loss + backward land past the fwp_us boundary and carry the backward
+  // phase tag, matching bwp_us = total - fwp_us below.
+  dev.set_phase(gpusim::KernelPhase::kBackward);
+  gpusim::BufferId dy = gpusim::kInvalidBuffer;
+  report.loss = loss_head(dev, x, ctx.preproc(), model.output_dim, spec.seed,
+                          &dy, &ctx);
+  {
+    GT_OBS_STAGE(bwp_span, kBackward, "BWP", "BWP");
+    for (std::uint32_t l = L; l-- > 0;) {
+      const kernels::napa::DenseGrads grads = pass(l, /*backward=*/true, [&] {
+        return step.backward(l, l == 0 ? input : outs[l - 1], dy,
+                             /*want_dx=*/l > 0);
+      });
+      sgd.stage(dev, l, grads.dw, grads.db, ctx);
+      dev.free(grads.dw);
+      dev.free(grads.db);
+      dev.free(dy);
+      dy = grads.dx;  // invalid at layer 0, where the loop ends
+      step.release(l);
+    }
+  }
+  report.bwp_us = dev.profile_latency_us() - report.fwp_us;
 }
 
 void finalize_report(RunReport& report, const gpusim::Device& dev,

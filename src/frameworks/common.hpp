@@ -1,11 +1,15 @@
 // Shared machinery for framework implementations: preprocessing + schedule,
-// device session setup (uploads), the loss head, and SGD application.
+// device session setup (uploads), the loss head, SGD staging, and the one
+// layer driver every backend runs its batch through (DESIGN.md §18).
 #pragma once
+
+#include <functional>
 
 #include "frameworks/framework.hpp"
 #include "frameworks/sharding.hpp"
 #include "gpusim/device.hpp"
 #include "kernels/common.hpp"
+#include "kernels/napa.hpp"
 #include "pipeline/executor.hpp"
 
 namespace gt::frameworks::detail {
@@ -36,7 +40,6 @@ struct DeviceSession {
   std::vector<kernels::DeviceCoo> coo;
   std::vector<gpusim::BufferId> w;
   std::vector<gpusim::BufferId> b;
-  std::size_t input_table_bytes = 0;
 
   explicit DeviceSession(gpusim::DeviceConfig cfg) : dev(std::move(cfg)) {}
 };
@@ -86,17 +89,6 @@ class SgdStage {
   void stage(gpusim::Device& dev, std::uint32_t layer, gpusim::BufferId dw,
              gpusim::BufferId db, pipeline::BatchContext& ctx);
 
-  /// Tensor-parallel commit mode: each layer's dw is applied as the
-  /// per-device disjoint row slices `boundaries[layer]` describes
-  /// ([devices+1] ascending offsets over dw's rows), in device order,
-  /// inside the same transactional commit. Element updates are
-  /// independent, so the result is bit-identical to the full-matrix
-  /// update. `boundaries` must outlive commit(); nullptr resets.
-  void set_device_row_slices(
-      const std::vector<std::vector<std::size_t>>* boundaries) {
-    row_slices_ = boundaries;
-  }
-
   /// Apply every staged update in stage order and clear the stage.
   void commit();
 
@@ -108,8 +100,43 @@ class SgdStage {
   models::ModelParams* params_;
   float lr_;
   std::vector<Pending> pending_;
-  const std::vector<std::vector<std::size_t>>* row_slices_ = nullptr;
 };
+
+/// One completed layer pass: its slice of the device profile and the
+/// modeled µs the slice took.
+struct LayerPass {
+  LayerSlice slice;
+  double us = 0.0;
+};
+
+/// A backend's layer kernels: NAPA with DKP placement (dfg::LayerExecutor),
+/// the DL-approach or the Graph-approach. The callables keep whatever a
+/// layer's backward needs from its forward.
+struct LayerStep {
+  /// Run layer `layer` on input `x`; returns its output buffer.
+  std::function<gpusim::BufferId(std::uint32_t layer, gpusim::BufferId x)>
+      forward;
+  /// Backward through layer `layer` given its input `x` and the output
+  /// gradient `dy`. `want_dx == false` on layer 0 (dx stays invalid).
+  std::function<kernels::napa::DenseGrads(std::uint32_t layer,
+                                          gpusim::BufferId x,
+                                          gpusim::BufferId dy, bool want_dx)>
+      backward;
+  /// Free what the layer kept for its backward (not its output).
+  std::function<void(std::uint32_t layer)> release;
+};
+
+/// The one layer loop of every backend. Runs FWP in its stage scope and
+/// stops there for inference; otherwise runs the loss head and BWP in its
+/// stage scope, staging each layer's SGD update into `sgd` and freeing dw,
+/// db and dy before the layer's release. Fills the report's fwp_us, bwp_us
+/// and loss, and appends one LayerPass per completed pass to `passes`, so
+/// a GpuOomError leaves exactly the completed passes behind.
+void run_layers(gpusim::Device& dev, gpusim::BufferId input,
+                const models::GnnModelConfig& model, const BatchSpec& spec,
+                pipeline::BatchContext& ctx, const LayerStep& step,
+                SgdStage& sgd, RunReport& report,
+                std::vector<LayerPass>& passes);
 
 /// Shared tail of the frameworks' GpuOomError handling: mark the report
 /// OOM, keep the priced preprocessing schedule (the host-side work really

@@ -7,6 +7,11 @@
 // statistics, and the preprocessing schedule. Benchmarks reproduce the
 // paper's tables and figures from these reports alone.
 //
+// The backends differ only in their layer kernels. Each execute hands its
+// kernels to the one layer driver (detail::run_layers, DESIGN.md §18) and
+// applies every outcome-dependent write at one commit point after its try
+// block: a success or an OOM reaches it, any other exception skips it.
+//
 // Framework itself opens the two phase stage scopes (obs::Span) around
 // them, so every caller — the service ring, its retry path, the bench
 // binaries — gets one host-time measurement per phase, shared by the

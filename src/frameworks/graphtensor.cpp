@@ -6,7 +6,6 @@
 #include "frameworks/sharding.hpp"
 #include "obs/attrib/kernel_ledger.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sampling/cache_hierarchy.hpp"
 #include "sampling/transfer.hpp"
 
@@ -78,7 +77,6 @@ RunReport GraphTensorFramework::execute(const Dataset& data,
                                         pipeline::BatchContext& ctx) {
   RunReport report;
   const std::uint32_t L = model.num_layers;
-  const sampling::ReindexFormats formats = kGtFormats;
   const pipeline::PlanOptions plan = plan_options();
 
   pipeline::PreprocResult& pre = ctx.preproc();
@@ -92,109 +90,29 @@ RunReport GraphTensorFramework::execute(const Dataset& data,
                           kernels::dkp_compatible(model.g);
   dfg::DfgGraph graph = dfg::build_gnn_dfg(L, model.edge_weighted());
   if (dkp_active) graph.rewrite_dkp();
+  auto dims_of = [&](std::uint32_t l) {
+    return LayerDims{pre.batch.layer_vertices(l), pre.batch.layer_dst(l),
+                     pre.batch.layer_edges(l), params.in_dim(l),
+                     params.out_dim(l)};
+  };
 
-  // Cost-model samples and SGD updates are buffered and committed only
-  // when the batch reaches a reported outcome (success or OOM). An
-  // exception unwinding out of this function — an injected fault the
-  // service will retry — must leave the framework state AND the model
-  // parameters untouched, or the retried batch would diverge from a
-  // fault-free run.
+  // What the batch stages for the commit point after the try block: the
+  // SGD updates, the cache lookup (lookup() classifies against the
+  // current tiers without mutating them), the placement decisions, the
+  // completed layer passes (the cost-model samples) and the priced
+  // collectives.
   detail::SgdStage sgd(params, spec.learning_rate);
-
-  // Multi-device execution is a modeled decomposition of the canonical
-  // run (DESIGN.md §14): the plan is derived from the real preprocessed
-  // layer structures up front; layer slices of the profile are captured
-  // around each exec call; the post-pass attributes, prices collectives,
-  // and merges the group timeline. Numerics below are untouched — except
-  // the tensor-parallel SGD commit, which applies the same gradient as
-  // disjoint per-device row slices (bit-identical by independence).
-  const bool sharded = shard_.devices > 1;
-  detail::ShardPlan shard_plan;
-  std::vector<detail::LayerSlice> slices;
-  if (sharded) {
-    shard_plan = detail::build_shard_plan(pre, params, L, shard_);
-    if (shard_.strategy == ShardStrategy::kTensorParallel)
-      sgd.set_device_row_slices(&shard_plan.sgd_row_boundaries);
-  }
-
-  struct PendingSample {
-    LayerDims dims;
-    dfg::PlacementCase pc;
-    double us;
-    std::uint32_t layer;
-  };
-  std::vector<PendingSample> pending;
-  auto commit_samples = [&] {
-#ifndef GT_OBS_DISABLE
-    // Ledger join: pair each committed sample with the model's prediction
-    // *for the coefficients that were live when the batch ran* (captured
-    // before record() extends the sample set; fit() only runs afterwards).
-    // predict() is const — arming the ledger cannot perturb training.
-    const bool ledger_on = obs::attrib::KernelLedger::global().armed();
-    const bool was_fitted = cost_model_.fitted();
-#endif
-    for (const PendingSample& s : pending) {
-#ifndef GT_OBS_DISABLE
-      if (ledger_on) {
-        std::string key = s.pc.backward ? "bwd/" : "fwd/";
-        key += dfg::to_string(s.pc.order);
-        key += "/L";
-        key += std::to_string(s.layer);
-        obs::attrib::KernelLedger::global().record_prediction(
-            key, cost_model_.predict(s.dims, s.pc), s.us, was_fitted);
-      }
-#endif
-      cost_model_.record(s.dims, s.pc, s.us);
-    }
-    pending.clear();
-    ++batches_seen_;
-#ifndef GT_OBS_DISABLE
-    // Live model-health surface (gauges + drift event); independent of
-    // the ledger so chaos/serving runs see drift without any artifact.
-    if (cost_model_.fitted()) {
-      const dfg::ResidualSummary rs = cost_model_.residual_summary();
-      obs::attrib::observe_costmodel_residuals(rs.samples, rs.p50_pct,
-                                               rs.p95_pct);
-    }
-#endif
-  };
-
-  // Cache hierarchy state is transactional like the SGD/cost-model stages
-  // above: lookup() classifies against the current tiers without mutating
-  // them, and commit_cache (below) applies the staged admissions only
-  // once the batch reaches a reported outcome.
   sampling::CacheHierarchy::Lookup cache_look;
   sampling::PinnedRingBuffer::Overlap ring_ov;
   bool cache_active = false;
-  auto commit_cache = [&] {
-    if (!cache_active) return;
-    sampling::CacheHierarchy& hier = *hierarchy_;
-    const std::uint64_t evictions_before = hier.stats().evictions;
-    hier.commit(cache_look, report.fwp_us + report.bwp_us);
-    last_hit_rate_ = cache_look.hit_rate();
-    obs::MetricsRegistry& m = obs::metrics();
-    // Legacy totals (gt_top's cache line) plus the per-tier breakdown.
-    m.gauge("embedding_cache.hit_rate").set(last_hit_rate_);
-    m.counter("embedding_cache.hits").add(cache_look.cached_rows());
-    m.counter("embedding_cache.misses").add(cache_look.misses);
-    m.counter("cache.static.hits").add(cache_look.static_rows.size());
-    m.counter("cache.dynamic.hits").add(cache_look.dynamic_hits);
-    m.counter("cache.prefetch.hits").add(cache_look.prefetch_hits);
-    m.counter("cache.misses").add(cache_look.misses);
-    m.counter("cache.evictions")
-        .add(hier.stats().evictions - evictions_before);
-    m.counter("cache.prefetch.rows").add(cache_look.prefetched);
-    m.counter("cache.ring.chunks").add(ring_ov.chunks);
-    m.counter("cache.ring.bytes").add(ring_ov.bytes);
-    m.gauge("cache.ring.critical_us").set(ring_ov.critical_us);
-    m.gauge("cache.ring.overlap_us").set(ring_ov.overlapped_us());
-    m.gauge("cache.dynamic.occupancy")
-        .set(static_cast<double>(hier.dynamic_size_rows()));
-  };
+  std::vector<KernelOrder> orders;  // empty until placement is decided
+  std::vector<detail::LayerPass> passes;
+  detail::ShardedExecution sx;
+  const bool sharded = shard_.devices > 1;
 
   try {
     detail::DeviceSession& session = device_session();
-    detail::open_session(session, pre, params, formats,
+    detail::open_session(session, pre, params, kGtFormats,
                          /*upload_input=*/!use_cache);
     gpusim::Device& dev = session.dev;
 
@@ -242,21 +160,9 @@ RunReport GraphTensorFramework::execute(const Dataset& data,
       dev.clear_profile();  // staging/assembly is not FWP/BWP work
     }
 
-    dfg::LayerExecutor exec(dev, model.f, model.g);
-
-    std::vector<dfg::LayerDeviceGraph> lg(L);
-    for (std::uint32_t l = 0; l < L; ++l)
-      lg[l] = dfg::LayerDeviceGraph{session.csr[l], session.csc[l]};
-
-    auto dims_of = [&](std::uint32_t l) {
-      return LayerDims{pre.batch.layer_vertices(l), pre.batch.layer_dst(l),
-                       pre.batch.layer_edges(l), params.in_dim(l),
-                       params.out_dim(l)};
-    };
-
     // Placement decision per layer (one decision covers FWP + BWP; the
     // backward pass reuses the forward's cached tensors).
-    std::vector<KernelOrder> orders(L, KernelOrder::kAggregationFirst);
+    orders.assign(L, KernelOrder::kAggregationFirst);
     for (std::uint32_t l = 0; l < L; ++l) {
       if (spec.order == OrderPolicy::kCombinationFirst &&
           kernels::dkp_compatible(model.g)) {
@@ -282,135 +188,145 @@ RunReport GraphTensorFramework::execute(const Dataset& data,
       }
       if (orders[l] == KernelOrder::kCombinationFirst)
         report.layer_comb_first_fwd[l] = report.layer_comb_first_bwd[l] = 1;
-      obs::metrics()
-          .counter(orders[l] == KernelOrder::kCombinationFirst
-                       ? "dkp.decisions.comb_first"
-                       : "dkp.decisions.agg_first")
-          .add(1);
     }
 
-    // ---- FWP ----------------------------------------------------------------
+    dfg::LayerExecutor exec(dev, model.f, model.g);
     std::vector<dfg::LayerForward> fwds;
-    gpusim::BufferId x = session.input;
-    dev.set_phase(gpusim::KernelPhase::kForward);
-    {
-      GT_OBS_STAGE(fwp_span, kForward, "FWP", "FWP");
-      for (std::uint32_t l = 0; l < L; ++l) {
-        const double before = dev.profile_latency_us();
-        const std::size_t slice_lo = dev.profile().size();
-        fwds.push_back(exec.forward(
-            lg[l], x, dfg::LayerParams{session.w[l], session.b[l]},
-            model.relu_at(l), orders[l]));
-        if (sharded)
-          slices.push_back({l, /*backward=*/false, slice_lo,
-                            dev.profile().size()});
-        if (dkp_active)
-          pending.push_back(
-              {dims_of(l),
-               dfg::PlacementCase{orders[l], /*backward=*/false,
-                                  /*first_layer=*/l == 0,
-                                  model.edge_weighted()},
-               dev.profile_latency_us() - before, l});
-        x = fwds.back().out;
-      }
-    }
-
-    report.fwp_us = dev.profile_latency_us();
-
-    // Shared report tail: when sharded, attribute the complete profile,
-    // price the strategy's collectives (also fed to the cost model's
-    // collective term — reporting only, never placement decisions), and
-    // merge the group timeline before the report is finalized.
-    auto finalize = [&] {
-      detail::ShardedExecution sx;
-      const detail::ShardedExecution* sp = nullptr;
-      if (sharded) {
-        detail::CacheBatchVolumes cache_vol;
-        const detail::CacheBatchVolumes* cp = nullptr;
-        if (cache_active) {
-          cache_vol.static_hits = cache_look.static_rows.size();
-          cache_vol.dynamic_hits = cache_look.dynamic_hits;
-          cache_vol.prefetch_hits = cache_look.prefetch_hits;
-          cache_vol.misses = cache_look.misses;
-          cache_vol.evictions = cache_look.expected_evictions;
-          cp = &cache_vol;
-        }
-        sx = detail::shard_execution(dev.profile(), slices, shard_plan,
-                                     dev.config().cost.launch_overhead_us,
-                                     cp);
-        for (const gpusim::CollectiveCost& cc : sx.priced)
-          cost_model_.record_collective(cc.steps, cc.bytes_on_wire, cc.us);
-        sp = &sx;
-      }
-      detail::finalize_report(report, dev, ctx.schedule(),
-                              /*overlap_compute=*/true, &ctx, sp);
+    auto graph_of = [&](std::uint32_t l) {
+      return dfg::LayerDeviceGraph{session.csr[l], session.csc[l]};
     };
+    auto params_of = [&](std::uint32_t l) {
+      return dfg::LayerParams{session.w[l], session.b[l]};
+    };
+    detail::LayerStep step;
+    step.forward = [&](std::uint32_t l, gpusim::BufferId x) {
+      fwds.push_back(exec.forward(graph_of(l), x, params_of(l),
+                                  model.relu_at(l), orders[l]));
+      return fwds.back().out;
+    };
+    step.backward = [&](std::uint32_t l, gpusim::BufferId x,
+                        gpusim::BufferId dy, bool want_dx) {
+      const dfg::LayerBackward g =
+          exec.backward(graph_of(l), x, params_of(l), model.relu_at(l),
+                        fwds[l], dy, want_dx);
+      return kernels::napa::DenseGrads{g.dx, g.dw, g.db};
+    };
+    step.release = [&](std::uint32_t l) { exec.release_cache(fwds[l]); };
+    detail::run_layers(dev, session.input, model, spec, ctx, step, sgd, report,
+                       passes);
 
-    if (spec.inference) {
-      finalize();
-      commit_cache();
-      commit_samples();
-      return report;
-    }
-
-    // Loss + backward both land past the fwp_us boundary, so they carry
-    // the backward phase tag — matching bwp_us = total - fwp_us below.
-    dev.set_phase(gpusim::KernelPhase::kBackward);
-
-    // ---- Loss ----------------------------------------------------------------
-    gpusim::BufferId dy = gpusim::kInvalidBuffer;
-    report.loss = detail::loss_head(dev, x, pre, model.output_dim, spec.seed,
-                                    &dy, &ctx);
-
-    // ---- BWP ----------------------------------------------------------------
-    {
-      GT_OBS_STAGE(bwp_span, kBackward, "BWP", "BWP");
-      for (std::uint32_t li = L; li-- > 0;) {
-        const gpusim::BufferId x_in =
-            li == 0 ? session.input : fwds[li - 1].out;
-        const double before = dev.profile_latency_us();
-        const std::size_t slice_lo = dev.profile().size();
-        dfg::LayerBackward grads = exec.backward(
-            lg[li], x_in, dfg::LayerParams{session.w[li], session.b[li]},
-            model.relu_at(li), fwds[li], dy, /*want_dx=*/li > 0);
-        if (sharded)
-          slices.push_back({li, /*backward=*/true, slice_lo,
-                            dev.profile().size()});
-        if (dkp_active)
-          pending.push_back(
-              {dims_of(li),
-               dfg::PlacementCase{orders[li], /*backward=*/true,
-                                  /*first_layer=*/li == 0,
-                                  model.edge_weighted()},
-               dev.profile_latency_us() - before, li});
-        sgd.stage(dev, li, grads.dw, grads.db, ctx);
-        dev.free(grads.dw);
-        dev.free(grads.db);
-        dev.free(dy);
-        dy = grads.dx;  // invalid at li == 0 (skipped), loop ends anyway
-        exec.release_cache(fwds[li]);
+    // Multi-device execution is a modeled decomposition of the canonical
+    // run (DESIGN.md §14): attribute the complete profile over the layer
+    // passes' slices, price the strategy's collectives, and merge the
+    // group timeline before the report is finalized.
+    const detail::ShardedExecution* sp = nullptr;
+    if (sharded) {
+      std::vector<detail::LayerSlice> slices;
+      for (const detail::LayerPass& p : passes) slices.push_back(p.slice);
+      detail::CacheBatchVolumes cache_vol;
+      if (cache_active) {
+        cache_vol.static_hits = cache_look.static_rows.size();
+        cache_vol.dynamic_hits = cache_look.dynamic_hits;
+        cache_vol.prefetch_hits = cache_look.prefetch_hits;
+        cache_vol.misses = cache_look.misses;
+        cache_vol.evictions = cache_look.expected_evictions;
       }
+      sx = detail::shard_execution(
+          dev.profile(), std::move(slices),
+          detail::build_shard_plan(pre, params, L, shard_),
+          dev.config().cost.launch_overhead_us,
+          cache_active ? &cache_vol : nullptr);
+      sp = &sx;
     }
-
-    report.bwp_us = dev.profile_latency_us() - report.fwp_us;
-    finalize();
+    detail::finalize_report(report, dev, ctx.schedule(),
+                            /*overlap_compute=*/true, &ctx, sp);
   } catch (const gpusim::GpuOomError& e) {
     detail::record_oom(report, e, ctx);
   }
 
-  // Reported outcome (success or OOM): commit what the batch earned. The
-  // OOM commit applies exactly the layers whose backward completed before
-  // the allocator gave out — the same updates an eager apply performed.
+  // The commit point (DESIGN.md §18). A success or an OOM applies what
+  // the batch staged — an OOM's, up to the pass the allocator stopped.
+  // Any other exception (an injected fault the service retries) unwinds
+  // past it, so the retry starts from exactly the state a fault-free run
+  // sees.
   sgd.commit();
-  commit_cache();
-  commit_samples();
-  if (dkp_active && !cost_model_.fitted() &&
-      batches_seen_ >= kFitAfterBatches) {
-    cost_model_.fit();
+  // Collectives feed the cost model's collective term (reporting only,
+  // never placement decisions).
+  for (const gpusim::CollectiveCost& cc : sx.priced)
+    cost_model_.record_collective(cc.steps, cc.bytes_on_wire, cc.us);
+  if (cache_active) {
+    sampling::CacheHierarchy& hier = *hierarchy_;
+    const std::uint64_t evictions_before = hier.stats().evictions;
+    hier.commit(cache_look, report.fwp_us + report.bwp_us);
+    last_hit_rate_ = cache_look.hit_rate();
+    obs::MetricsRegistry& m = obs::metrics();
+    // Legacy totals (gt_top's cache line) plus the per-tier breakdown.
+    m.gauge("embedding_cache.hit_rate").set(last_hit_rate_);
+    m.counter("embedding_cache.hits").add(cache_look.cached_rows());
+    m.counter("embedding_cache.misses").add(cache_look.misses);
+    m.counter("cache.static.hits").add(cache_look.static_rows.size());
+    m.counter("cache.dynamic.hits").add(cache_look.dynamic_hits);
+    m.counter("cache.prefetch.hits").add(cache_look.prefetch_hits);
+    m.counter("cache.misses").add(cache_look.misses);
+    m.counter("cache.evictions")
+        .add(hier.stats().evictions - evictions_before);
+    m.counter("cache.prefetch.rows").add(cache_look.prefetched);
+    m.counter("cache.ring.chunks").add(ring_ov.chunks);
+    m.counter("cache.ring.bytes").add(ring_ov.bytes);
+    m.gauge("cache.ring.critical_us").set(ring_ov.critical_us);
+    m.gauge("cache.ring.overlap_us").set(ring_ov.overlapped_us());
+    m.gauge("cache.dynamic.occupancy")
+        .set(static_cast<double>(hier.dynamic_size_rows()));
   }
-  if (sharded && !cost_model_.collective_fitted() &&
-      batches_seen_ >= kFitAfterBatches) {
-    cost_model_.fit_collective();
+  for (const KernelOrder order : orders)
+    obs::metrics()
+        .counter(order == KernelOrder::kCombinationFirst
+                     ? "dkp.decisions.comb_first"
+                     : "dkp.decisions.agg_first")
+        .add(1);
+  if (dkp_active) {
+#ifndef GT_OBS_DISABLE
+    // Ledger join: pair each sample with the model's prediction *for the
+    // coefficients that were live when the batch ran* (read before
+    // record() extends the sample set; fit() only runs afterwards).
+    // predict() is const — arming the ledger cannot perturb training.
+    const bool ledger_on = obs::attrib::KernelLedger::global().armed();
+    const bool was_fitted = cost_model_.fitted();
+#endif
+    for (const detail::LayerPass& p : passes) {
+      const std::uint32_t l = p.slice.layer;
+      const dfg::PlacementCase pc{orders[l], p.slice.backward,
+                                  /*first_layer=*/l == 0,
+                                  model.edge_weighted()};
+#ifndef GT_OBS_DISABLE
+      if (ledger_on) {
+        std::string key = pc.backward ? "bwd/" : "fwd/";
+        key += dfg::to_string(pc.order);
+        key += "/L";
+        key += std::to_string(l);
+        obs::attrib::KernelLedger::global().record_prediction(
+            key, cost_model_.predict(dims_of(l), pc), p.us, was_fitted);
+      }
+#endif
+      cost_model_.record(dims_of(l), pc, p.us);
+    }
+  }
+  ++batches_seen_;
+#ifndef GT_OBS_DISABLE
+  // Live model-health surface (gauges + drift event); independent of the
+  // ledger so chaos/serving runs see drift without any artifact.
+  if (cost_model_.fitted()) {
+    const dfg::ResidualSummary rs = cost_model_.residual_summary();
+    obs::attrib::observe_costmodel_residuals(rs.samples, rs.p50_pct,
+                                             rs.p95_pct);
+  }
+#endif
+  // Fit once enough batches have run, after a training batch only: an
+  // inference batch never fits, whatever its outcome.
+  if (!spec.inference && batches_seen_ >= kFitAfterBatches) {
+    if (dkp_active && !cost_model_.fitted()) cost_model_.fit();
+    if (sharded && !cost_model_.collective_fitted())
+      cost_model_.fit_collective();
   }
   return report;
 }

@@ -39,8 +39,6 @@ class GraphTensorFramework : public Framework {
     return true;
   }
 
-  const ShardOptions& shard_options() const noexcept { return shard_; }
-
   /// Embedding cache hierarchy (DESIGN.md §15): a dataset-lifetime
   /// static + dynamic tier stack that re-prices the K/T stages without
   /// touching numerics. Replaces any earlier cache configuration; the
@@ -53,9 +51,6 @@ class GraphTensorFramework : public Framework {
     return true;
   }
 
-  const sampling::CacheConfig& cache_config() const noexcept {
-    return cache_cfg_;
-  }
   /// Committed per-tier counters (zeros until a cached batch commits).
   sampling::CacheStats cache_stats() const noexcept {
     return hierarchy_ ? hierarchy_->stats() : sampling::CacheStats{};

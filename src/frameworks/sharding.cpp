@@ -56,7 +56,6 @@ ShardPlan build_shard_plan(const pipeline::PreprocResult& pre,
   plan.grad_reduce_bytes.resize(num_layers);
   plan.tp_fwd_allreduce_bytes.resize(num_layers);
   plan.tp_bwd_gather_bytes.resize(num_layers);
-  plan.sgd_row_boundaries.resize(num_layers);
 
   std::vector<unsigned char> needed;  // reused across layers
   for (std::uint32_t l = 0; l < num_layers; ++l) {
@@ -73,7 +72,6 @@ ShardPlan build_shard_plan(const pipeline::PreprocResult& pre,
     const std::vector<std::size_t> fb = range_boundaries(in_dim, n);
     plan.feat_cols[l].resize(n);
     for (std::size_t d = 0; d < n; ++d) plan.feat_cols[l][d] = fb[d + 1] - fb[d];
-    plan.sgd_row_boundaries[l] = fb;
 
     plan.grad_reduce_bytes[l] = (in_dim * out_dim + out_dim) * sizeof(float);
     plan.tp_fwd_allreduce_bytes[l] = n_dst * out_dim * sizeof(float);

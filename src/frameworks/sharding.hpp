@@ -15,9 +15,8 @@
 //    slice of each layer's input-feature dimension, so aggregation
 //    needs no communication at all; each layer boundary costs one
 //    all-reduce of the partial layer output forward, and an all-gather of
-//    the column-sharded input gradient backward. Weight-gradient rows are
-//    disjoint per device, which is why the SGD commit can stage per-device
-//    row slices and stay bit-identical (common.hpp's SgdStage).
+//    the column-sharded input gradient backward. SGD applies the one
+//    canonical weight gradient, as on a single device.
 //
 // Attribution is deterministic and sum-preserving: integer counters
 // (flops, bytes, blocks) are split by cumulative proportional rounding
@@ -38,9 +37,9 @@
 namespace gt::frameworks::detail {
 
 /// Index range [lo, hi) of the canonical device profile covering one
-/// layer pass. Captured by the framework around each exec.forward /
-/// exec.backward call; profile entries outside every slice (loss head,
-/// synthetic charges) are attributed by the plan's default weights.
+/// layer pass. detail::run_layers captures it around each layer's forward
+/// and backward (LayerPass); profile entries outside every slice (loss
+/// head, synthetic charges) are attributed by the plan's default weights.
 struct LayerSlice {
   std::uint32_t layer = 0;
   bool backward = false;
@@ -64,10 +63,6 @@ struct ShardPlan {
   std::vector<std::size_t> grad_reduce_bytes;              // [L] range bwd
   std::vector<std::size_t> tp_fwd_allreduce_bytes;         // [L] tp fwd
   std::vector<std::vector<std::size_t>> tp_bwd_gather_bytes;  // [L] tp bwd
-
-  // TP SGD commit: per-layer dw row boundaries ([L] x devices+1 over
-  // in_dim) — each device owns a disjoint row slice of the gradient.
-  std::vector<std::vector<std::size_t>> sgd_row_boundaries;
 
   const std::vector<std::uint64_t>& layer_weights(std::uint32_t layer) const {
     return options.strategy == ShardStrategy::kTensorParallel

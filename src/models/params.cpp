@@ -40,27 +40,6 @@ void ModelParams::sgd_update(std::uint32_t layer, const Matrix& dw,
   sgd_update(layer, ConstMatrixView(dw), ConstMatrixView(db), lr);
 }
 
-void ModelParams::sgd_update_rows(std::uint32_t layer, std::size_t row_begin,
-                                  ConstMatrixView dw_rows, float lr) {
-  Matrix& w = w_.at(layer);
-  if (w.cols() != dw_rows.cols() || row_begin > w.rows() ||
-      dw_rows.rows() > w.rows() - row_begin)
-    throw std::invalid_argument("sgd_update_rows: slice out of range");
-  auto wd = w.data().subspan(row_begin * w.cols());
-  auto dwd = dw_rows.data();
-  for (std::size_t i = 0; i < dwd.size(); ++i) wd[i] -= lr * dwd[i];
-}
-
-void ModelParams::sgd_update_bias(std::uint32_t layer, ConstMatrixView db,
-                                  float lr) {
-  Matrix& b = b_.at(layer);
-  if (b.rows() != db.rows() || b.cols() != db.cols())
-    throw std::invalid_argument("sgd_update_bias: gradient shape mismatch");
-  auto bd = b.data();
-  auto dbd = db.data();
-  for (std::size_t i = 0; i < bd.size(); ++i) bd[i] -= lr * dbd[i];
-}
-
 std::size_t ModelParams::parameter_count() const noexcept {
   std::size_t n = 0;
   for (const auto& m : w_) n += m.size();

@@ -41,16 +41,6 @@ class ModelParams {
   void sgd_update(std::uint32_t layer, const Matrix& dw, const Matrix& db,
                   float lr);
 
-  /// w rows [row_begin, row_begin + dw_rows.rows()) -= lr * dw_rows; the
-  /// bias is untouched. Tensor-parallel SGD commits apply each device's
-  /// disjoint row slice of the weight gradient; element updates are
-  /// independent, so slice-wise application is bit-identical to one full
-  /// sgd_update over the assembled gradient.
-  void sgd_update_rows(std::uint32_t layer, std::size_t row_begin,
-                       ConstMatrixView dw_rows, float lr);
-  /// b -= lr * db only (the bias gradient is replicated on every device).
-  void sgd_update_bias(std::uint32_t layer, ConstMatrixView db, float lr);
-
   /// Total parameter count.
   std::size_t parameter_count() const noexcept;
 

@@ -33,10 +33,10 @@ TEST(FaultHarness, RejectsBatchCountsShortOfTheSchedules) {
   EXPECT_TRUE(result.all_ok);
 }
 
-// The full four-backend matrix runs in CI via tools/fault_harness; the
+// The full eight-backend matrix runs in CI via tools/fault_harness; the
 // unit test keeps one GT variant and one baseline so the suite stays
-// fast while still crossing both execute paths (session-per-batch
-// baseline vs cost-model GT).
+// fast while still crossing both kinds of layer step the one layer loop
+// runs (the Graph-approach baseline vs NAPA with the cost model).
 TEST(FaultHarness, SweepInvariantsHoldAcrossBackendsAndWorkers) {
   HarnessOptions opts;
   opts.backends = {"DGL", "Prepro-GT"};

@@ -6,7 +6,7 @@
 //   $ ./tools/fault_harness [--batches=N] [--quick]
 //
 // --quick trims the sweep to one GT backend and one baseline (the unit
-// tests cover the rest); the default runs the full four-backend matrix.
+// tests cover the rest); the default runs all eight backends.
 // --batches (default 6) must reach every schedule's batch= coordinate (at
 // least 5 for the stock set); a bad or too-short value exits 2.
 #include <cstdio>
