@@ -80,7 +80,12 @@
 //                --fault-spec="gpusim.alloc@batch=3;preproc.sample@batch=7"
 //                Transient faults are retried with virtual backoff; a
 //                batch past the retry budget shows as "degraded" in the
-//                table and the epoch keeps going.
+//                table and the epoch keeps going. An armed run prints
+//                "faults injected: N"; a spec that never fired also
+//                warns on stderr. A kind=abort fault exits 3 with an
+//                "aborted:" message after the service unwound (serving
+//                sheds its queued and in-flight requests) and the
+//                artifacts were written.
 //   --max-retries=N retry budget per batch (default 3).
 //   Chaos example (one command line):
 //     ./examples/service_cli products GCN Prepro-GT 8 --workers=4
@@ -270,6 +275,26 @@ int main(int argc, char** argv) {
     return 2;
   }
   gt::GnnService& service = *service_ptr;
+  // A spec whose entries never fire leaves a run identical to one without
+  // it, so an armed run states how many faults it injected.
+  const auto report_faults = [&] {
+    const gt::fault::FaultPlan* plan = service.fault_plan();
+    if (plan == nullptr) return;
+    std::printf("faults injected: %llu\n",
+                static_cast<unsigned long long>(plan->injected()));
+    if (plan->injected() == 0)
+      std::fprintf(stderr,
+                   "warning: fault spec '%s' injected no fault: no entry "
+                   "matched a site this run reached\n",
+                   options.fault_spec.c_str());
+  };
+  // A kind=abort fault is not retried: it unwinds the service, whose ring
+  // drains and sheds before the exception reaches here.
+  const auto aborted = [&](const gt::fault::InjectedFault& e) {
+    report_faults();
+    std::fprintf(stderr, "aborted: %s\n", e.what());
+    return 3;
+  };
   // Bench-report rows, recorded only when the hook will write the report.
   gt::obs::BenchReporter& report = gt::obs::BenchReporter::global();
   report.set_binary("service_cli");
@@ -301,6 +326,8 @@ int main(int argc, char** argv) {
     } catch (const std::invalid_argument& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return 2;
+    } catch (const gt::fault::InjectedFault& e) {
+      return aborted(e);
     }
     gt::Table table({"outcome", "requests", "share"});
     const auto share = [&](std::uint64_t n) {
@@ -331,6 +358,7 @@ int main(int argc, char** argv) {
         100.0 * rep.shed_rate(),
         static_cast<unsigned long long>(rep.batches), rep.mean_batch_fill,
         static_cast<unsigned long long>(rep.span_ticks));
+    report_faults();
     if (service.telemetry() != nullptr)
       std::printf("telemetry in %s (snapshots + events.jsonl; tail with "
                   "tools/gt_top)\n",
@@ -382,8 +410,12 @@ int main(int argc, char** argv) {
   std::vector<double> host_prep_us, host_exec_us;
   std::vector<double> group_makespans, comm_us;
   double comm_bytes = 0.0, comm_steps = 0.0, collectives = 0.0;
-  const std::vector<gt::frameworks::RunReport> reports =
-      service.train_batches(batches);
+  std::vector<gt::frameworks::RunReport> reports;
+  try {
+    reports = service.train_batches(batches);
+  } catch (const gt::fault::InjectedFault& e) {
+    return aborted(e);
+  }
   std::size_t degraded_batches = 0;
   std::uint64_t recovery_retries = 0;
   for (std::size_t b = 0; b < reports.size(); ++b) {
@@ -423,6 +455,7 @@ int main(int argc, char** argv) {
   const double accuracy = service.evaluate(2);
   std::printf("\nheld-out accuracy: %.1f%% (chance %.1f%%)\n",
               100.0 * accuracy, 100.0 / model.output_dim);
+  report_faults();
 
   if (service.telemetry() != nullptr)
     std::printf("telemetry in %s (snapshots + events.jsonl; tail with "

@@ -13,7 +13,6 @@
 #include "tensor/view.hpp"
 #include "util/log.hpp"
 #include "util/parallel.hpp"
-#include "util/stats.hpp"
 
 namespace gt {
 
@@ -261,10 +260,6 @@ frameworks::RunReport GnnService::train_batch() {
   return run_batches(1, /*inference=*/false, options_.batch_size).front();
 }
 
-frameworks::RunReport GnnService::infer_batch() {
-  return run_batches(1, /*inference=*/true, options_.batch_size).front();
-}
-
 void GnnService::run_ring(
     std::size_t workers,
     const std::function<std::optional<frameworks::BatchSpec>()>& source,
@@ -400,11 +395,6 @@ std::vector<frameworks::RunReport> GnnService::train_batches(
   return run_batches(batches, /*inference=*/false, options_.batch_size);
 }
 
-std::vector<frameworks::RunReport> GnnService::infer_batches(
-    std::size_t batches) {
-  return run_batches(batches, /*inference=*/true, options_.batch_size);
-}
-
 EpochStats GnnService::train_epoch(std::size_t batches) {
   GT_OBS_SCOPE_N(epoch_span, "service.train_epoch", "service");
   epoch_span.arg("batches", static_cast<std::int64_t>(batches));
@@ -508,7 +498,8 @@ serving::ServeReport GnnService::serve(const serving::ServeConfig& config) {
   // serving.* tallies that always satisfy the gt_top --check invariants.
   struct Published {
     std::uint64_t arrived = 0, admitted = 0, shed_slo = 0,
-                  shed_queue_full = 0, shed_shutdown = 0;
+                  shed_queue_full = 0, shed_shutdown = 0, completed = 0,
+                  degraded = 0, batches = 0;
   } pub;
   auto publish_planner_counters = [&]() noexcept {
     try {
@@ -526,6 +517,9 @@ serving::ServeReport GnnService::serve(const serving::ServeConfig& config) {
            pub.shed_queue_full);
       bump("serving.requests.shed_shutdown", planner.shed_shutdown(),
            pub.shed_shutdown);
+      bump("serving.requests.completed", planner.completed(), pub.completed);
+      bump("serving.requests.degraded", planner.degraded(), pub.degraded);
+      bump("serving.batches", planner.batches(), pub.batches);
       m.gauge("serving.queue.depth")
           .set(static_cast<double>(planner.queue_size()));
       m.gauge("serving.queue.peak")
@@ -536,111 +530,41 @@ serving::ServeReport GnnService::serve(const serving::ServeConfig& config) {
     }
   };
 
-  // --- Measured-clock completion pricing. The planner predicted with the
-  // frozen estimate; execution re-prices each batch with its real priced
-  // e2e: finish = max(lane_free, form_tick) + e2e. A degraded batch
-  // (retry budget exhausted / OOM) still occupies the lane for one
-  // estimate so the requests behind it feel the outage.
-  //
-  // The plan grows lazily: the ring pulls each batch from the planner just
-  // before preparing it, so at most `workers` planned batches await
-  // pricing at any time. planned[0, priced) have executed.
-  std::vector<serving::PlannedBatch> planned;
-  std::size_t priced = 0;
-  serving::Tick lane_free = 0;
-  std::vector<serving::Tick> latencies;
-  std::uint64_t completed = 0, degraded_requests = 0, goodput_requests = 0;
-  std::uint64_t boarded = 0;
-  auto price_batch = [&](const frameworks::RunReport& r) {
-    const serving::PlannedBatch& b = planned[priced];
-    const serving::Tick start = std::max(lane_free, b.form_tick);
-    const bool ok = r.ok();
-    const serving::Tick dur =
-        ok ? std::max<serving::Tick>(
-                 1, static_cast<serving::Tick>(std::llround(r.end_to_end_us)))
-           : est;
-    lane_free = start + dur;
-    boarded += b.request_ids.size();
-    std::vector<serving::RequestRecord>& recs = planner.records();
-    obs::Histogram& lat_hist = m.histogram("serving.request_latency_us");
-    for (const std::uint64_t id : b.request_ids) {
-      serving::RequestRecord& rec = recs[id];
-      if (ok) {
-        rec.outcome = serving::Outcome::kCompleted;
-        rec.latency_ticks = lane_free - rec.arrival_tick;
-        latencies.push_back(rec.latency_ticks);
-        lat_hist.observe(static_cast<double>(rec.latency_ticks));
-        ++completed;
-        if (config.slo_ticks == 0 || rec.latency_ticks <= config.slo_ticks)
-          ++goodput_requests;
-      } else {
-        rec.outcome = serving::Outcome::kDegraded;
-        rec.latency_ticks = 0;
-        ++degraded_requests;
-      }
-    }
-    m.counter(ok ? "serving.requests.completed" : "serving.requests.degraded")
-        .add(b.request_ids.size());
-    m.counter("serving.batches").add(1);
-    ++priced;
-  };
-
+  // The ring pulls each batch from the planner just before preparing it,
+  // so at most `workers` planned batches are in flight at any time; the
+  // sink prices each on the measured clock as it executes, in plan order.
   run_ring(
       options_.workers,
       [&]() -> std::optional<frameworks::BatchSpec> {
-        std::optional<serving::PlannedBatch> b = planner.next();
+        const std::optional<serving::PlannedBatch> b = planner.next();
         if (!b) return std::nullopt;
-        planned.push_back(std::move(*b));
-        return next_spec(/*inference=*/true, planned.back().total_vertices);
+        return next_spec(/*inference=*/true, b->total_vertices);
       },
       [&](const frameworks::BatchSpec& spec, frameworks::RunReport r,
           std::size_t) {
-        price_batch(r);
+        const serving::PlannedBatch b =
+            planner.complete(r.ok(), r.end_to_end_us);
+        // Registered even for a degraded batch: an all-degraded serve dumps it.
+        obs::Histogram& lat_hist = m.histogram("serving.request_latency_us");
+        if (r.ok())
+          for (const std::uint64_t id : b.request_ids)
+            lat_hist.observe(
+                static_cast<double>(planner.records()[id].latency_ticks));
         publish_planner_counters();
         after_batch(spec, r, planner.queue_size());
       },
       // Unwind, after the ring's drain and quarantine: queued requests and
-      // the riders of every unpriced planned batch (the one that threw
+      // the riders of every batch still in flight (the one that threw
       // included) drain to kShedShutdown, so the counters account for every
       // admitted request before telemetry flushes the post-mortem.
       [&]() noexcept {
-        planner.shutdown(std::span(planned).subspan(priced));
+        planner.shutdown();
         publish_planner_counters();
       });
 
   planner.finish();
   publish_planner_counters();
-
-  serving::ServeReport rep;
-  rep.arrived = planner.arrived();
-  rep.admitted = planner.admitted();
-  rep.shed_slo = planner.shed_slo();
-  rep.shed_queue_full = planner.shed_queue_full();
-  rep.completed = completed;
-  rep.degraded = degraded_requests;
-  rep.batches = priced;
-  rep.mean_batch_fill =
-      priced > 0 ? static_cast<double>(boarded) /
-                       static_cast<double>(priced *
-                                           config.batch.max_batch_requests)
-                 : 0.0;
-  rep.records = std::move(planner.records());
-  const serving::Tick first_arrival =
-      rep.records.empty() ? 0 : rep.records.front().arrival_tick;
-  serving::Tick last_event = lane_free;
-  if (!rep.records.empty())
-    last_event = std::max(last_event, rep.records.back().arrival_tick);
-  rep.span_ticks =
-      last_event > first_arrival ? last_event - first_arrival : 0;
-  std::sort(latencies.begin(), latencies.end());
-  rep.p50_latency_ticks = nearest_rank(latencies, 0.50);
-  rep.p95_latency_ticks = nearest_rank(latencies, 0.95);
-  rep.p99_latency_ticks = nearest_rank(latencies, 0.99);
-  rep.goodput_requests = goodput_requests;
-  rep.goodput_rps = rep.span_ticks > 0
-                        ? static_cast<double>(goodput_requests) * 1e6 /
-                              static_cast<double>(rep.span_ticks)
-                        : 0.0;
+  serving::ServeReport rep = planner.report();
   m.gauge("serving.goodput_rps").set(rep.goodput_rps);
   m.gauge("serving.shed_rate").set(rep.shed_rate());
   m.gauge("serving.p99_latency_us").set(rep.p99_latency_ticks);

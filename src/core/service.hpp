@@ -19,8 +19,9 @@
 // (ServiceOptions::fault_spec), instrumented sites throw
 // typed InjectedFaults. The ring is exception-safe — before any unwind it
 // drains every in-flight preparation, quarantines (resets) the worker
-// contexts, runs its caller's unwind hook (serve() sheds its queue), and
-// crash-flushes telemetry. Transient faults are retried with bounded
+// contexts, runs its caller's unwind hook (serve()'s planner sheds its
+// queue and the riders of its in-flight batches), and crash-flushes
+// telemetry. Transient faults are retried with bounded
 // virtual exponential backoff; a batch that exhausts its retry budget
 // degrades to a RunReport::failed entry instead of aborting the epoch.
 #pragma once
@@ -201,28 +202,25 @@ class GnnService {
   /// Train one batch; batches advance deterministically.
   frameworks::RunReport train_batch();
 
-  /// Forward-only inference on the next batch (no parameter update).
-  frameworks::RunReport infer_batch();
-
   /// Train `batches` consecutive batches through the steady-state loop
   /// (concurrent when options.workers > 1). Reports come back in batch
   /// order and match a workers == 1 run bit for bit.
   std::vector<frameworks::RunReport> train_batches(std::size_t batches);
 
-  /// Same loop, forward-only.
-  std::vector<frameworks::RunReport> infer_batches(std::size_t batches);
-
   /// Train `batches` consecutive batches and aggregate the reports.
   EpochStats train_epoch(std::size_t batches);
 
-  /// Online request serving (DESIGN.md §16). Replays the seeded open-loop
-  /// arrival schedule through SLO-aware admission and the dynamic batcher,
-  /// executes every planned batch forward-only through the same
-  /// worker-context ring as train_batches, and prices request completions
-  /// on the measured virtual clock. The returned outcome stream is a pure
-  /// function of `config` plus this service's deterministic reports, so it
-  /// is bit-identical across workers counts — including under an injected
-  /// fault plan. Throws std::invalid_argument on an unusable config.
+  /// Online request serving (DESIGN.md §16). A serving::ServePlanner
+  /// replays the seeded open-loop arrival schedule through SLO-aware
+  /// admission and the dynamic batcher; every planned batch executes
+  /// forward-only through the same worker-context ring as train_batches,
+  /// and the planner prices its riders' completions on the measured
+  /// virtual clock and builds the report. This method keeps the warm-up
+  /// that seeds the estimate, the ring and the serving.* metrics. The
+  /// returned outcome stream is a pure function of `config` plus this
+  /// service's deterministic reports, so it is bit-identical across
+  /// workers counts — including under an injected fault plan. Throws
+  /// std::invalid_argument on an unusable config.
   serving::ServeReport serve(const serving::ServeConfig& config);
 
   /// Classification accuracy on `batches` *held-out* batches (the

@@ -31,8 +31,6 @@ Tracer::ThreadBuffer& Tracer::local_buffer() {
   return *buffers_.back();
 }
 
-std::uint32_t Tracer::thread_id() { return local_buffer().tid; }
-
 void Tracer::emit(TraceEvent e) {
   ThreadBuffer& buf = local_buffer();
   if (e.pid == kWallPid && e.tid == 0) e.tid = buf.tid;

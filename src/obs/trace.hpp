@@ -90,9 +90,6 @@ class Tracer {
   /// Name a simulated-timeline lane ("cpu0", "pcie", "gpu"). Idempotent.
   void set_sim_thread_name(std::uint32_t tid, std::string name);
 
-  /// Small sequential id of the calling thread (registered on first use).
-  std::uint32_t thread_id();
-
   std::size_t event_count() const;
   /// Merged copy of all per-thread buffers, for tests and exporters.
   std::vector<TraceEvent> snapshot() const;

@@ -81,11 +81,6 @@ struct BatchWorkload {
       b += (2 * e + total_vertices) * sizeof(std::uint32_t);
     return b;
   }
-  std::uint64_t total_sampled_edges() const noexcept {
-    std::uint64_t e = 0;
-    for (const auto& h : hops) e += h.edges;
-    return e;
-  }
 };
 
 /// Derive the workload counts from an actual sampled batch.

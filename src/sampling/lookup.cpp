@@ -21,14 +21,4 @@ void EmbeddingLookup::gather_chunk(std::span<const Vid> vids,
     table_.gather_row(vids[r], out.row(r));
 }
 
-void EmbeddingLookup::gather_parallel(std::span<const Vid> vids,
-                                      ThreadPool& pool, std::size_t chunks,
-                                      Matrix& out) const {
-  pool.parallel_for(0, vids.size(), chunks,
-                    [this, vids, &out](std::size_t, std::size_t lo,
-                                       std::size_t hi) {
-                      gather_chunk(vids, lo, hi, out);
-                    });
-}
-
 }  // namespace gt::sampling

@@ -10,7 +10,6 @@
 
 #include "datasets/embedding.hpp"
 #include "tensor/matrix.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gt::sampling {
 
@@ -25,12 +24,6 @@ class EmbeddingLookup {
   /// `out` must have vids.size() rows and table dim columns.
   void gather_chunk(std::span<const Vid> vids, std::size_t begin,
                     std::size_t end, Matrix& out) const;
-
-  /// Fan the gather out over the pool in `chunks` disjoint row ranges
-  /// (K-task parallelism). Row content is position-independent, so the
-  /// result is bit-identical to gather_chunk over the full range.
-  void gather_parallel(std::span<const Vid> vids, ThreadPool& pool,
-                       std::size_t chunks, Matrix& out) const;
 
   /// Bytes a gather of n rows produces (the T task's payload size).
   std::size_t gathered_bytes(std::size_t rows) const noexcept {

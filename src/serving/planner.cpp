@@ -1,7 +1,11 @@
 #include "serving/planner.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
+
+#include "util/stats.hpp"
 
 namespace gt::serving {
 
@@ -45,8 +49,8 @@ ServePlanner::ServePlanner(const ServeConfig& config, Tick est_batch_ticks)
     RequestRecord rec;
     rec.id = i;
     rec.arrival_tick = arrivals_[i];
-    // Placeholder until the planner (shed) or the serve loop's pricing
-    // (completed/degraded) decides it; an unwound run leaves it as-is.
+    // Placeholder until admission (shed) or complete() (completed or
+    // degraded) decides it; an unwound run leaves it as-is.
     rec.outcome = Outcome::kShedShutdown;
     records_.push_back(rec);
   }
@@ -113,8 +117,31 @@ std::optional<PlannedBatch> ServePlanner::next() {
     }
     b.form_tick = form;
     server_free_ = form + admission_.est_batch_ticks();
+    in_flight_.push_back(b);
     return b;
   }
+}
+
+PlannedBatch ServePlanner::complete(bool ok, double end_to_end_us) {
+  if (in_flight_.empty())
+    throw std::logic_error("ServePlanner::complete: no batch in flight");
+  PlannedBatch b = std::move(in_flight_.front());
+  in_flight_.pop_front();
+  const Tick held =
+      ok ? std::max<Tick>(1, static_cast<Tick>(std::llround(end_to_end_us)))
+         : admission_.est_batch_ticks();
+  lane_free_ = std::max(lane_free_, b.form_tick) + held;
+  ++priced_;
+  for (const std::uint64_t id : b.request_ids) {
+    RequestRecord& rec = records_[id];
+    rec.outcome = ok ? Outcome::kCompleted : Outcome::kDegraded;
+    rec.latency_ticks = ok ? lane_free_ - rec.arrival_tick : 0;
+  }
+  if (ok)
+    completed_ += b.request_ids.size();
+  else
+    degraded_ += b.request_ids.size();
+  return b;
 }
 
 void ServePlanner::finish() {
@@ -125,14 +152,8 @@ void ServePlanner::finish() {
   }
 }
 
-void ServePlanner::shutdown(std::span<const PlannedBatch> unserved) noexcept {
-  if (!queue_.started()) return;  // initial/starting never held requests
-  for (const PlannedBatch& b : unserved) {
-    for (const std::uint64_t id : b.request_ids) {
-      records_[id].outcome = Outcome::kShedShutdown;
-      ++shed_shutdown_;
-    }
-  }
+void ServePlanner::shutdown() noexcept {
+  if (!queue_.started()) return;  // never started, or already stopped
   try {
     for (const Request& r : queue_.drain()) {
       records_[r.id].outcome = Outcome::kShedShutdown;
@@ -141,6 +162,54 @@ void ServePlanner::shutdown(std::span<const PlannedBatch> unserved) noexcept {
   } catch (...) {
     // drain() only throws on lifecycle misuse, excluded by the guard.
   }
+  for (const PlannedBatch& b : in_flight_) {
+    for (const std::uint64_t id : b.request_ids) {
+      records_[id].outcome = Outcome::kShedShutdown;
+      ++shed_shutdown_;
+    }
+  }
+  in_flight_.clear();
+}
+
+ServeReport ServePlanner::report() {
+  ServeReport rep;
+  rep.arrived = arrived_;
+  rep.admitted = admitted_;
+  rep.shed_slo = shed_slo_;
+  rep.shed_queue_full = shed_queue_full_;
+  rep.completed = completed_;
+  rep.degraded = degraded_;
+  rep.batches = priced_;
+  // Every rider of a priced batch completed or degraded.
+  rep.mean_batch_fill =
+      priced_ > 0 ? static_cast<double>(completed_ + degraded_) /
+                        static_cast<double>(priced_ *
+                                            config_.batch.max_batch_requests)
+                  : 0.0;
+  rep.records = std::move(records_);
+  const Tick first_arrival =
+      rep.records.empty() ? 0 : rep.records.front().arrival_tick;
+  Tick last_event = lane_free_;
+  if (!rep.records.empty())
+    last_event = std::max(last_event, rep.records.back().arrival_tick);
+  rep.span_ticks = last_event > first_arrival ? last_event - first_arrival : 0;
+  std::vector<Tick> latencies;
+  latencies.reserve(completed_);
+  for (const RequestRecord& r : rep.records) {
+    if (r.outcome != Outcome::kCompleted) continue;
+    latencies.push_back(r.latency_ticks);
+    if (config_.slo_ticks == 0 || r.latency_ticks <= config_.slo_ticks)
+      ++rep.goodput_requests;
+  }
+  std::sort(latencies.begin(), latencies.end());
+  rep.p50_latency_ticks = nearest_rank(latencies, 0.50);
+  rep.p95_latency_ticks = nearest_rank(latencies, 0.95);
+  rep.p99_latency_ticks = nearest_rank(latencies, 0.99);
+  rep.goodput_rps = rep.span_ticks > 0
+                        ? static_cast<double>(rep.goodput_requests) * 1e6 /
+                              static_cast<double>(rep.span_ticks)
+                        : 0.0;
+  return rep;
 }
 
 }  // namespace gt::serving

@@ -7,9 +7,7 @@ namespace gt::serving {
 const char* to_string(Lifecycle s) noexcept {
   switch (s) {
     case Lifecycle::kInitial: return "initial";
-    case Lifecycle::kStarting: return "starting";
     case Lifecycle::kStarted: return "started";
-    case Lifecycle::kStopping: return "stopping";
     case Lifecycle::kStopped: return "stopped";
   }
   return "?";
@@ -19,10 +17,6 @@ void RequestQueue::start() {
   if (state_ != Lifecycle::kInitial)
     throw std::logic_error(std::string("RequestQueue::start from state ") +
                            to_string(state_));
-  state_ = Lifecycle::kStarting;
-  // No asynchronous machinery to spin up (the queue is driven by the
-  // serve loop), so starting completes synchronously — but the distinct
-  // state keeps the transition observable and the exemplar's shape.
   state_ = Lifecycle::kStarted;
 }
 
@@ -31,7 +25,6 @@ std::vector<Request> RequestQueue::drain() {
   if (state_ != Lifecycle::kStarted)
     throw std::logic_error(std::string("RequestQueue::drain from state ") +
                            to_string(state_));
-  state_ = Lifecycle::kStopping;
   std::vector<Request> remaining(q_.begin(), q_.end());
   q_.clear();
   state_ = Lifecycle::kStopped;

@@ -1,12 +1,14 @@
 // Bounded request queue with an explicit component lifecycle.
 //
 // The lifecycle follows the bscheduler pipeline_base exemplar
-// (SNIPPETS.md Snippet 1): a serving component is always in exactly one
-// of initial -> starting -> started -> stopping -> stopped, transitions
-// are validated (a queue cannot re-start after stopping, cannot accept
-// work unless started), and teardown is observable — the serve loop's
-// unwind guard calls drain() so an aborting run leaves the queue stopped
-// and empty instead of holding requests nobody will ever serve.
+// (SNIPPETS.md Snippet 1) without its transient starting and stopping
+// states: the queue has nothing to spin up or wind down, so both
+// transitions complete inside one call and a caller only ever sees
+// initial -> started -> stopped. Transitions are validated (a queue
+// cannot re-start after stopping, cannot accept work unless started),
+// and teardown is observable — the serve loop's unwind guard calls
+// drain() so an aborting run leaves the queue stopped and empty instead
+// of holding requests nobody will ever serve.
 //
 // The queue itself is deliberately simple: a FIFO with a hard capacity.
 // Overflow is the *caller's* signal to shed (push returns false rather
@@ -27,9 +29,7 @@ namespace gt::serving {
 /// pipeline_base-style component states (SNIPPETS.md Snippet 1).
 enum class Lifecycle : std::uint8_t {
   kInitial,
-  kStarting,
   kStarted,
-  kStopping,
   kStopped,
 };
 
@@ -42,19 +42,16 @@ class RequestQueue {
   explicit RequestQueue(std::size_t capacity) : capacity_(capacity) {}
 
   Lifecycle state() const noexcept { return state_; }
-  bool running() const noexcept {
-    return state_ == Lifecycle::kStarting || state_ == Lifecycle::kStarted;
-  }
   bool started() const noexcept { return state_ == Lifecycle::kStarted; }
   bool stopped() const noexcept { return state_ == Lifecycle::kStopped; }
 
-  /// initial -> starting -> started. Throws std::logic_error from any
-  /// other state: a queue that already served cannot be restarted.
+  /// initial -> started. Throws std::logic_error from any other state: a
+  /// queue that already served cannot be restarted.
   void start();
 
-  /// started -> stopping -> stopped. Remaining requests are returned to
-  /// the caller (they get their kShedShutdown outcome there); the queue
-  /// ends empty. Idempotent once stopped; throws from initial/starting.
+  /// started -> stopped. Remaining requests are returned to the caller
+  /// (they get their kShedShutdown outcome there); the queue ends empty.
+  /// Idempotent once stopped; throws from initial.
   std::vector<Request> drain();
 
   std::size_t capacity() const noexcept { return capacity_; }

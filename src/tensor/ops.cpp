@@ -311,21 +311,6 @@ Matrix zip(const Matrix& a, const Matrix& b, F&& f, const char* what) {
 }
 }  // namespace
 
-void add_into(ConstMatrixView a, ConstMatrixView b, MatrixView out) {
-  zip_into(a, b, out, [](float x, float y) { return x + y; },
-           "add: shape mismatch");
-}
-
-void sub_into(ConstMatrixView a, ConstMatrixView b, MatrixView out) {
-  zip_into(a, b, out, [](float x, float y) { return x - y; },
-           "sub: shape mismatch");
-}
-
-void hadamard_into(ConstMatrixView a, ConstMatrixView b, MatrixView out) {
-  zip_into(a, b, out, [](float x, float y) { return x * y; },
-           "hadamard: shape mismatch");
-}
-
 Matrix add(const Matrix& a, const Matrix& b) {
   return zip(a, b, [](float x, float y) { return x + y; },
              "add: shape mismatch");
@@ -368,13 +353,6 @@ Matrix relu(const Matrix& a) {
   Matrix out(a.rows(), a.cols());
   relu_into(a, out);
   return out;
-}
-
-void relu_backward_into(ConstMatrixView grad_out, ConstMatrixView x,
-                        MatrixView out) {
-  zip_into(grad_out, x,
-           out, [](float g, float xv) { return xv > 0.0f ? g : 0.0f; },
-           "relu_backward: shape mismatch");
 }
 
 Matrix relu_backward(const Matrix& grad_out, const Matrix& x) {

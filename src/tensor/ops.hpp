@@ -53,17 +53,12 @@ Matrix add(const Matrix& a, const Matrix& b);
 Matrix sub(const Matrix& a, const Matrix& b);
 Matrix hadamard(const Matrix& a, const Matrix& b);  // elementwise product
 Matrix scale(const Matrix& a, float s);
-void add_into(ConstMatrixView a, ConstMatrixView b, MatrixView out);
-void sub_into(ConstMatrixView a, ConstMatrixView b, MatrixView out);
-void hadamard_into(ConstMatrixView a, ConstMatrixView b, MatrixView out);
 void scale_into(ConstMatrixView a, float s, MatrixView out);
 
 Matrix relu(const Matrix& a);
 void relu_into(ConstMatrixView a, MatrixView out);
 /// dL/dx for y = relu(x): grad masked where x <= 0.
 Matrix relu_backward(const Matrix& grad_out, const Matrix& x);
-void relu_backward_into(ConstMatrixView grad_out, ConstMatrixView x,
-                        MatrixView out);
 
 /// Row-wise softmax.
 Matrix softmax_rows(const Matrix& a);

@@ -103,12 +103,6 @@ class ConstMatrixView {
   std::size_t cols_ = 0;
 };
 
-/// Copy `src` into `dst`; shapes must match exactly.
-inline void copy_into(ConstMatrixView src, MatrixView dst) noexcept {
-  assert(src.rows() == dst.rows() && src.cols() == dst.cols());
-  std::copy(src.data().begin(), src.data().end(), dst.data().begin());
-}
-
 /// Max absolute elementwise difference; infinity if shapes differ.
 float max_abs_diff(ConstMatrixView a, ConstMatrixView b);
 

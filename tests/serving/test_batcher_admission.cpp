@@ -184,7 +184,8 @@ TEST(ServePlanner, MaxWaitClosesPartialBatches) {
 TEST(ServePlanner, ShutdownDrainsQueuedRequestsAsShedShutdown) {
   ServeConfig cfg = planner_config();
   ServePlanner p(cfg, /*est_batch_ticks=*/500);
-  ASSERT_TRUE(p.next().has_value());  // plan one batch, then abandon
+  const auto b = p.next();  // plan one batch, then abandon it in flight
+  ASSERT_TRUE(b.has_value());
   p.shutdown();
   EXPECT_EQ(p.queue_state(), Lifecycle::kStopped);
   std::uint64_t drained = 0;
@@ -192,7 +193,12 @@ TEST(ServePlanner, ShutdownDrainsQueuedRequestsAsShedShutdown) {
     if (r.batch == RequestRecord::kNoBatch &&
         r.outcome == Outcome::kShedShutdown)
       ++drained;
-  EXPECT_EQ(p.shed_shutdown(), drained - (cfg.requests - p.arrived()));
+  // The queue's survivors (not the placeholders of unarrived requests)
+  // plus the riders of the abandoned batch.
+  EXPECT_EQ(p.shed_shutdown(), drained - (cfg.requests - p.arrived()) +
+                                   b->request_ids.size());
+  for (const std::uint64_t id : b->request_ids)
+    EXPECT_EQ(p.records()[id].outcome, Outcome::kShedShutdown);
   p.shutdown();  // idempotent
 }
 

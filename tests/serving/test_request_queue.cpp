@@ -24,11 +24,9 @@ TEST(RequestQueue, LifecycleHappyPath) {
   q.start();
   EXPECT_EQ(q.state(), Lifecycle::kStarted);
   EXPECT_TRUE(q.started());
-  EXPECT_TRUE(q.running());
   q.drain();
   EXPECT_EQ(q.state(), Lifecycle::kStopped);
   EXPECT_TRUE(q.stopped());
-  EXPECT_FALSE(q.running());
 }
 
 TEST(RequestQueue, PushRequiresStarted) {
