@@ -1,7 +1,10 @@
 // Fig 12a: end-to-end latency decomposition under serialized preprocessing.
 // Paper: GNN computing (FWP+BWP) is only 15.8% of the end-to-end latency;
 // neighbor sampling dominates light-feature workloads while reindexing +
-// lookup + transfer dominate heavy-feature ones.
+// lookup + transfer dominate heavy-feature ones. The S/R/K/T shares are
+// the kernel ledger's stage terms (obs::attrib::stage_terms) over e2e, so
+// with the compute share they add up to 100%; busy core-us, summed over
+// the modeled cores, is its own column.
 //
 // Fig 12b (extension): the embedding cache hierarchy (DESIGN.md §15)
 // attacks exactly the K+T half of that decomposition — the ablation below
@@ -17,7 +20,9 @@ int main() {
                            "(type-serialized multithreaded preprocessing, GCN)");
 
   Table table({"dataset", "S %", "R %", "K %", "T %", "compute %",
-               "e2e (us)"});
+               "busy (core-us)", "e2e (us)"});
+  const char* const share_rows[4] = {"S share of e2e", "R share of e2e",
+                                     "K share of e2e", "T share of e2e"};
   std::vector<double> compute_shares;
   for (const auto& name : bench::all_datasets()) {
     Dataset data = generate(name, bench::kSeed);
@@ -27,19 +32,27 @@ int main() {
     frameworks::RunReport r =
         bench::run_one("PyG-MT", data, bench::gcn_for(data), spec);
     const double e2e = r.end_to_end_us;
-    const auto share = [&](TaskType t) {
-      return r.schedule.type_busy_us[static_cast<int>(t)] / e2e;
-    };
+    const obs::attrib::StageTerms terms =
+        obs::attrib::stage_terms(frameworks::batch_totals(r));
+    // Serialized compute hides nothing, so this is (fwp + bwp) / e2e.
     const double compute = r.kernel_total_us / e2e;
+    double busy = 0.0;
+    for (double b : r.schedule.type_busy_us) busy += b;
     compute_shares.push_back(compute);
     bench::row("GNN compute share of e2e", name, "PyG-MT", 0.0, compute,
                "fraction");
     bench::row("e2e latency", name, "PyG-MT", 0.0, e2e, "us");
-    table.add_row({name, Table::fmt_pct(share(TaskType::kSample)),
-                   Table::fmt_pct(share(TaskType::kReindex)),
-                   Table::fmt_pct(share(TaskType::kLookup)),
-                   Table::fmt_pct(share(TaskType::kTransfer)),
-                   Table::fmt_pct(compute), Table::fmt(e2e, 0)});
+    std::vector<std::string> cells{name};
+    for (int t = 0; t < 4; ++t) {
+      const double share = terms.stage_us[t] / e2e;
+      bench::row(share_rows[t], name, "PyG-MT", 0.0, share, "fraction");
+      cells.push_back(Table::fmt_pct(share));
+    }
+    bench::row("preprocessing busy", name, "PyG-MT", 0.0, busy, "core-us");
+    cells.push_back(Table::fmt_pct(compute));
+    cells.push_back(Table::fmt(busy, 0));
+    cells.push_back(Table::fmt(e2e, 0));
+    table.add_row(std::move(cells));
   }
   table.print();
   std::printf("\n");
@@ -85,9 +98,10 @@ int main() {
         spec.batch_index = b;
         const frameworks::RunReport r =
             fw->run_batch(data, model, params, spec);
-        kt_us +=
-            r.schedule.type_busy_us[static_cast<int>(TaskType::kLookup)] +
-            r.schedule.type_busy_us[static_cast<int>(TaskType::kTransfer)];
+        const obs::attrib::StageTerms terms =
+            obs::attrib::stage_terms(frameworks::batch_totals(r));
+        kt_us += terms.stage_us[static_cast<int>(TaskType::kLookup)] +
+                 terms.stage_us[static_cast<int>(TaskType::kTransfer)];
         e2e_us += r.end_to_end_us;
       }
       const auto* gtfw =

@@ -128,7 +128,7 @@ frameworks::BatchSpec GnnService::next_spec(bool inference,
   spec.batch_size = batch_size;
   spec.batch_index = next_batch_++;
   spec.seed = options_.seed;
-  spec.order = options_.order;
+  spec.order = frameworks::OrderPolicy::kDynamic;
   spec.learning_rate = options_.learning_rate;
   spec.inference = inference;
   return spec;

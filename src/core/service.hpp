@@ -75,7 +75,6 @@ struct ServiceOptions {
   std::uint64_t seed = 42;
   float learning_rate = 0.05f;
   std::size_t batch_size = 300;
-  frameworks::OrderPolicy order = frameworks::OrderPolicy::kDynamic;
   /// Worker contexts draining the batch queue. 1 = fully serial. N > 1
   /// overlaps preprocessing of up to N batches; results stay bit-identical
   /// to workers == 1.

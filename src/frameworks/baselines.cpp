@@ -55,6 +55,9 @@ BaselineOptions salient_options() {
 
 namespace {
 
+/// Neighbors GNNAdvisor aggregates per group before an atomic merge.
+constexpr std::size_t kAdvisorGroupSize = 4;
+
 /// Per-layer forward artifacts a baseline retains for its backward pass.
 struct LayerCache {
   BufferId weights = kInvalidBuffer;
@@ -70,7 +73,6 @@ struct LayerCache {
 struct LayerIo {
   gpusim::Device& dev;
   const models::GnnModelConfig& model;
-  const BaselineOptions& opt;
 };
 
 LayerCache forward_dl(LayerIo io, const kernels::DeviceCsr& csr, BufferId x,
@@ -83,7 +85,7 @@ LayerCache forward_dl(LayerIo io, const kernels::DeviceCsr& csr, BufferId x,
   if (!comb_first) {
     if (advisor && g == EdgeWeightMode::kNone) {
       cache.aggr = dl::aggregate_neighbor_groups(io.dev, csr, x, f,
-                                                 io.opt.advisor_group_size);
+                                                 kAdvisorGroupSize);
     } else {
       cache.aggr = dl::forward_aggregate(io.dev, csr, x, f, g, &cache.weights);
     }
@@ -95,7 +97,7 @@ LayerCache forward_dl(LayerIo io, const kernels::DeviceCsr& csr, BufferId x,
   cache.transformed = napa::apply_matmul(io.dev, x, w);
   if (advisor) {
     cache.aggr = dl::aggregate_neighbor_groups(io.dev, csr, cache.transformed,
-                                               f, io.opt.advisor_group_size);
+                                               f, kAdvisorGroupSize);
   } else {
     BufferId unused = kInvalidBuffer;
     cache.aggr = dl::forward_aggregate(io.dev, csr, cache.transformed, f,
@@ -266,7 +268,7 @@ RunReport BaselineFramework::execute(const Dataset& /*data*/,
     detail::DeviceSession& session = device_session();
     detail::open_session(session, ctx.preproc(), params, reindex_formats());
     gpusim::Device& dev = session.dev;
-    LayerIo io{dev, model, options_};
+    LayerIo io{dev, model};
 
     std::vector<LayerCache> caches;
     detail::LayerStep step;

@@ -30,7 +30,6 @@ struct BaselineOptions {
   bool pinned_memory = false;
   bool pipelined_kt = false;
   bool overlap_compute = false;
-  std::size_t advisor_group_size = 4;
 };
 
 class BaselineFramework : public Framework {

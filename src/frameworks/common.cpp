@@ -365,13 +365,6 @@ void finalize_report(RunReport& report, const gpusim::Device& dev,
   // the ledger's totals identity is exact because it shares every source
   // number with end_to_end_us above. Armed-off runs skip at the atomic.
   if (obs::attrib::KernelLedger::global().armed()) {
-    obs::attrib::BatchTotals totals;
-    totals.end_to_end_us = report.end_to_end_us;
-    totals.makespan_us = schedule.makespan_us;
-    for (int t = 0; t < 4; ++t)
-      totals.stage_busy_us[t] = schedule.type_busy_us[t];
-    totals.fwp_us = report.fwp_us;
-    totals.bwp_us = report.bwp_us;
     std::vector<obs::attrib::KernelRecord> records;
     auto to_record = [](const gpusim::KernelStats& k, int device) {
       obs::attrib::KernelRecord r;
@@ -397,7 +390,8 @@ void finalize_report(RunReport& report, const gpusim::Device& dev,
       for (const auto& k : dev.profile())
         records.push_back(to_record(k, -1));
     }
-    obs::attrib::KernelLedger::global().record_batch(totals, records);
+    obs::attrib::KernelLedger::global().record_batch(batch_totals(report),
+                                                     records);
   }
 #endif
   if (ctx) {

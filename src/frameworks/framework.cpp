@@ -26,6 +26,17 @@ ShardStrategy parse_shard_strategy(const std::string& name) {
                               "' (expected range or tp)");
 }
 
+obs::attrib::BatchTotals batch_totals(const RunReport& report) {
+  obs::attrib::BatchTotals t;
+  t.end_to_end_us = report.end_to_end_us;
+  t.makespan_us = report.schedule.makespan_us;
+  for (int i = 0; i < 4; ++i)
+    t.stage_busy_us[i] = report.schedule.type_busy_us[i];
+  t.fwp_us = report.fwp_us;
+  t.bwp_us = report.bwp_us;
+  return t;
+}
+
 // Out of line: the session's type is complete only here.
 Framework::Framework() = default;
 Framework::~Framework() = default;

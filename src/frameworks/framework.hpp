@@ -26,6 +26,7 @@
 #include "gpusim/stats.hpp"
 #include "models/config.hpp"
 #include "models/params.hpp"
+#include "obs/attrib/kernel_ledger.hpp"
 #include "pipeline/batch_context.hpp"
 #include "pipeline/plan.hpp"
 #include "sampling/cache_hierarchy.hpp"
@@ -168,6 +169,10 @@ struct RunReport {
                        gpusim::KernelCategory::kCombination)];
   }
 };
+
+/// The report's latencies in the form obs::attrib::stage_terms splits:
+/// the one conversion the kernel ledger and the Fig 12 bench share.
+obs::attrib::BatchTotals batch_totals(const RunReport& report);
 
 class Framework {
  public:

@@ -69,8 +69,6 @@ bool LedgerData::load(const std::string& path, LedgerData* out,
   for (int i = 0; i < 4; ++i)
     number(totals, kStageKeys[i], std::string("totals.") + kStageKeys[i],
            &d.stage_us[i]);
-  number(totals, "preproc_parallel_us", "totals.preproc_parallel_us",
-         &d.preproc_parallel_us);
   number(totals, "fwp_us", "totals.fwp_us", &d.fwp_us);
   number(totals, "bwp_us", "totals.bwp_us", &d.bwp_us);
   number(totals, "overlap_hidden_us", "totals.overlap_hidden_us",
@@ -106,22 +104,20 @@ Attribution attribute(const LedgerData& base, const LedgerData& cur) {
   a.cur_e2e_us = cur.per_batch(cur.end_to_end_us);
   a.delta_e2e_us = a.cur_e2e_us - a.base_e2e_us;
 
-  // The eight identity terms. preproc_parallel and overlap_hidden enter
-  // the identity negated (they are *savings*), so they are stored signed:
-  // a positive delta on any row always means "this made e2e slower".
+  // The seven identity terms. overlap_hidden enters the identity negated
+  // (it is a *saving*), so it is stored signed: a positive delta on any
+  // row always means "this made e2e slower".
   struct Term {
     const char* name;
     double sign;
     double base;
     double cur;
   };
-  const Term terms[8] = {
+  const Term terms[7] = {
       {"sampling", 1.0, base.stage_us[0], cur.stage_us[0]},
       {"reindex", 1.0, base.stage_us[1], cur.stage_us[1]},
       {"lookup", 1.0, base.stage_us[2], cur.stage_us[2]},
       {"transfer", 1.0, base.stage_us[3], cur.stage_us[3]},
-      {"preproc_parallel", -1.0, base.preproc_parallel_us,
-       cur.preproc_parallel_us},
       {"fwp", 1.0, base.fwp_us, cur.fwp_us},
       {"bwp", 1.0, base.bwp_us, cur.bwp_us},
       {"overlap_hidden", -1.0, base.overlap_hidden_us,
@@ -192,7 +188,7 @@ void write_text(const Attribution& a, std::ostream& os, std::size_t top_n) {
     os << ", " << fmt_signed(100.0 * a.delta_e2e_us / a.base_e2e_us) << "%";
   os << ")\n\n";
   os << "Stage attribution (signed terms; positive delta = slower; the\n"
-        "parallelism/overlap savings terms enter negated):\n";
+        "overlap saving enters negated):\n";
   os << "  stage              base us/b     cur us/b    delta us/b\n";
   for (const StageDelta& s : a.stages) {
     char line[160];
@@ -288,14 +284,17 @@ bool run_self_test(const LedgerData& base, std::ostream& os,
         "identical pair: stage sum ~ 0");
 
   // 2. Identity on the artifact itself: the stored totals must satisfy
-  // e2e = sum(stages) - parallel + fwp + bwp - hidden.
-  double busy = 0.0;
-  for (double s : base.stage_us) busy += s;
-  const double identity = busy - base.preproc_parallel_us + base.fwp_us +
-                          base.bwp_us - base.overlap_hidden_us;
+  // e2e = sum(stages) + fwp + bwp - hidden, with sum(stages) = makespan.
+  double stages = 0.0;
+  for (double s : base.stage_us) stages += s;
+  const double identity =
+      stages + base.fwp_us + base.bwp_us - base.overlap_hidden_us;
   check(std::abs(identity - base.end_to_end_us) <=
             tol_rel * std::max(1.0, base.end_to_end_us),
         "artifact totals satisfy the attribution identity");
+  check(std::abs(stages - base.makespan_us) <=
+            tol_rel * std::max(1.0, base.makespan_us),
+        "artifact stage totals sum to the preprocessing makespan");
 
   // 3. Perturbed pair: the scaled class must rank first and the stage sum
   // must equal the measured e2e delta within tolerance.

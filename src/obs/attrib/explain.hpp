@@ -4,12 +4,12 @@
 // kernels.json files (KernelLedger output). Totals are normalized to
 // per-batch before differencing, so a 64-batch baseline compares cleanly
 // against a 48-batch current run. The stage-level attribution reuses the
-// ledger's exact identity:
+// ledger's exact identity (kernel_ledger.hpp's stage_terms):
 //
-//   e2e = sampling + reindex + lookup + transfer - preproc_parallel
-//         + fwp + bwp - overlap_hidden
+//   e2e = sampling + reindex + lookup + transfer + fwp + bwp
+//         - overlap_hidden
 //
-// so the eight stage deltas sum to the measured end-to-end delta *by
+// so the seven stage deltas sum to the measured end-to-end delta *by
 // construction* — no residual bucket, no unexplained remainder. Below the
 // stage level, per-kernel-class deltas rank which kernels moved; their sum
 // equals delta(fwp) + delta(bwp) up to kernels recorded outside FWP/BWP
@@ -31,7 +31,6 @@ struct LedgerData {
   double end_to_end_us = 0.0;
   double makespan_us = 0.0;
   double stage_us[4] = {0.0, 0.0, 0.0, 0.0};  // sampling/reindex/lookup/transfer
-  double preproc_parallel_us = 0.0;
   double fwp_us = 0.0;
   double bwp_us = 0.0;
   double overlap_hidden_us = 0.0;
@@ -79,9 +78,9 @@ struct Attribution {
   double cur_e2e_us = 0.0;
   double delta_e2e_us = 0.0;
 
-  /// The eight identity terms, fixed order: sampling, reindex, lookup,
-  /// transfer, preproc_parallel (negated), fwp, bwp, overlap_hidden
-  /// (negated). sum(delta_us) == delta_e2e_us exactly.
+  /// The seven identity terms, fixed order: sampling, reindex, lookup,
+  /// transfer, fwp, bwp, overlap_hidden (negated).
+  /// sum(delta_us) == delta_e2e_us exactly.
   std::vector<StageDelta> stages;
   /// Sum of stages[i].delta_us — retained for the invariant check.
   double stage_delta_sum_us = 0.0;

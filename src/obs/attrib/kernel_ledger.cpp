@@ -32,6 +32,20 @@ std::string shape_signature(std::size_t blocks) {
   return buf;
 }
 
+StageTerms stage_terms(const BatchTotals& totals) {
+  StageTerms t;
+  double busy = 0.0;
+  for (double b : totals.stage_busy_us) busy += b;
+  if (busy > 0.0)
+    for (int i = 0; i < 4; ++i)
+      t.stage_us[i] = totals.stage_busy_us[i] * totals.makespan_us / busy;
+  t.fwp_us = totals.fwp_us;
+  t.bwp_us = totals.bwp_us;
+  t.hidden_us = totals.makespan_us + totals.fwp_us + totals.bwp_us -
+                totals.end_to_end_us;
+  return t;
+}
+
 KernelLedger& KernelLedger::global() {
   static KernelLedger* ledger = new KernelLedger();  // leaked on purpose
   return *ledger;
@@ -63,9 +77,9 @@ void KernelLedger::clear() {
 
 void KernelLedger::reset() {
   batches_ = 0;
-  sums_ = BatchTotals{};
-  preproc_parallel_us_ = 0.0;
-  overlap_hidden_us_ = 0.0;
+  end_to_end_us_ = 0.0;
+  makespan_us_ = 0.0;
+  terms_ = StageTerms{};
   kernels_.clear();
   costmodel_.clear();
   residual_pcts_.clear();
@@ -76,20 +90,15 @@ void KernelLedger::record_batch(const BatchTotals& totals,
   if (!armed()) return;
   std::lock_guard<std::mutex> lock(mu_);
   ++batches_;
-  sums_.end_to_end_us += totals.end_to_end_us;
-  sums_.makespan_us += totals.makespan_us;
-  double busy = 0.0;
-  for (int i = 0; i < 4; ++i) {
-    sums_.stage_busy_us[i] += totals.stage_busy_us[i];
-    busy += totals.stage_busy_us[i];
-  }
-  sums_.fwp_us += totals.fwp_us;
-  sums_.bwp_us += totals.bwp_us;
-  // The identity's two correction terms (see header): per-batch, then
-  // summed — linearity keeps the invariant exact on the totals.
-  preproc_parallel_us_ += busy - totals.makespan_us;
-  overlap_hidden_us_ += totals.makespan_us + totals.fwp_us + totals.bwp_us -
-                        totals.end_to_end_us;
+  end_to_end_us_ += totals.end_to_end_us;
+  makespan_us_ += totals.makespan_us;
+  // Split per batch, then summed: linearity keeps the identity exact on
+  // the totals.
+  const StageTerms t = stage_terms(totals);
+  for (int i = 0; i < 4; ++i) terms_.stage_us[i] += t.stage_us[i];
+  terms_.fwp_us += t.fwp_us;
+  terms_.bwp_us += t.bwp_us;
+  terms_.hidden_us += t.hidden_us;
 
   for (const KernelRecord& k : kernels) {
     const std::string shape = shape_signature(k.blocks);
@@ -162,12 +171,11 @@ void KernelLedger::write_json(std::ostream& os) const {
   w.key("meta").object(JsonWriter::kInline);
   w.member("drift_threshold_pct", kCostModelDriftPct).end();
   w.key("totals").object().member("batches", batches_);
-  w.member("end_to_end_us", sums_.end_to_end_us);
-  w.member("makespan_us", sums_.makespan_us);
-  for (int i = 0; i < 4; ++i) w.member(kStageKeys[i], sums_.stage_busy_us[i]);
-  w.member("preproc_parallel_us", preproc_parallel_us_);
-  w.member("fwp_us", sums_.fwp_us).member("bwp_us", sums_.bwp_us);
-  w.member("overlap_hidden_us", overlap_hidden_us_).end();
+  w.member("end_to_end_us", end_to_end_us_);
+  w.member("makespan_us", makespan_us_);
+  for (int i = 0; i < 4; ++i) w.member(kStageKeys[i], terms_.stage_us[i]);
+  w.member("fwp_us", terms_.fwp_us).member("bwp_us", terms_.bwp_us);
+  w.member("overlap_hidden_us", terms_.hidden_us).end();
   w.key("kernels").object();
   for (const auto& [key, cls] : kernels_) {
     w.key(key).object(JsonWriter::kInline).member("name", cls.name);

@@ -10,17 +10,17 @@
 // schema-versioned `kernels.json` per run sits next to the existing
 // bench/trace/metrics artifacts; tools/gt_explain diffs two of them.
 //
-// The per-batch identity the attribution relies on (pipeline/plan.hpp's
-// end_to_end_us, rearranged; g = fwp + bwp, m = preproc makespan):
+// The ledger's stage totals are sums of stage_terms() below, the one
+// decomposition of a batch's end-to-end latency (m = preproc makespan):
 //
-//   overlap:     e2e = max(m, g) = sum(stage busy) - parallel + g - hidden
-//   serial:      e2e = m + g     = sum(stage busy) - parallel + g - 0
+//   e2e = S + R + K + T + fwp + bwp - hidden,   S + R + K + T = m
 //
-// where parallel = sum(stage busy) - m  (preprocessing-parallelism savings)
-// and   hidden   = m + g - e2e          (compute hidden under preprocessing).
-// Both corrections are recorded per batch, so summed totals keep the
-// identity exactly and gt_explain's stage deltas sum to the measured e2e
-// delta by construction.
+// where each stage term is m split in proportion to that stage's busy
+// core-us, and hidden = m + fwp + bwp - e2e is the compute that
+// preprocessing hid (0 when the two run serialized). The terms are
+// recorded per batch, so the summed totals keep the identity exactly and
+// gt_explain's stage deltas sum to the measured e2e delta by
+// construction. Fig 12's shares are these terms over e2e.
 //
 // Arming: ServiceOptions::kernel_ledger_out (service_cli's
 // --kernel-ledger-out / GT_KERNEL_LEDGER_OUT) or a bench binary's ObsHook
@@ -42,7 +42,7 @@
 
 namespace gt::obs::attrib {
 
-inline constexpr int kKernelLedgerSchemaVersion = 1;
+inline constexpr int kKernelLedgerSchemaVersion = 2;
 
 /// One profile entry, pre-stringified by the recording site (frameworks
 /// own the gpusim types; obs deliberately does not link against them).
@@ -60,9 +60,10 @@ struct KernelRecord {
   int device = -1;
 };
 
-/// Stage totals of one *reported ok* batch, straight off the RunReport and
-/// its PreprocSchedule. stage_busy_us is indexed by pipeline::TaskType
-/// order (sampling, reindex, lookup, transfer).
+/// Latencies of one *reported ok* batch, built from its RunReport by
+/// frameworks::batch_totals. stage_busy_us is each stage's busy time summed
+/// over the modeled cores (core-us), indexed by pipeline::TaskType order
+/// (sampling, reindex, lookup, transfer).
 struct BatchTotals {
   double end_to_end_us = 0.0;
   double makespan_us = 0.0;
@@ -70,6 +71,22 @@ struct BatchTotals {
   double fwp_us = 0.0;
   double bwp_us = 0.0;
 };
+
+/// One batch's end-to-end latency split into terms that add up to it:
+/// stage_us (TaskType order) splits the makespan over S/R/K/T in
+/// proportion to each stage's busy core-us (all 0 when nothing was busy),
+/// and hidden_us = makespan + fwp + bwp - e2e. In a sharded run fwp + bwp
+/// stay the serial kernel time while e2e prices the device group's
+/// makespan, so hidden_us absorbs the difference too: it is signed, and
+/// negative when collectives make the group slower than one device.
+struct StageTerms {
+  double stage_us[4] = {0.0, 0.0, 0.0, 0.0};
+  double fwp_us = 0.0;
+  double bwp_us = 0.0;
+  double hidden_us = 0.0;
+};
+
+StageTerms stage_terms(const BatchTotals& totals);
 
 /// Launch-shape signature: power-of-two bucket of the block count
 /// ("b2^10" = blocks in [512, 1024), "b0" for synthetic charges with no
@@ -146,9 +163,9 @@ class KernelLedger {
   mutable std::mutex mu_;
   std::string out_path_;
   std::size_t batches_ = 0;
-  BatchTotals sums_;                   // across batches
-  double preproc_parallel_us_ = 0.0;   // sum of per-batch parallel terms
-  double overlap_hidden_us_ = 0.0;     // sum of per-batch hidden terms
+  double end_to_end_us_ = 0.0;  // across batches
+  double makespan_us_ = 0.0;
+  StageTerms terms_;            // sum of per-batch stage_terms()
   std::map<std::string, KernelClass, std::less<>> kernels_;
   std::map<std::string, CostClass, std::less<>> costmodel_;
   std::vector<double> residual_pcts_;  // fitted samples only

@@ -45,7 +45,6 @@ void LiveTelemetry::start() {
   SnapshotterOptions sopt;
   sopt.dir = opt_.out_dir;
   sopt.interval = opt_.interval;
-  sopt.keep = opt_.keep;
   snapshotter_ = std::make_unique<TelemetrySnapshotter>(registry_, sopt);
   EventLog::global().open(opt_.out_dir + "/events.jsonl");
   WorkerProfiler::global().reset();

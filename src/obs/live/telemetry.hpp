@@ -37,7 +37,6 @@ namespace gt::obs::live {
 struct TelemetryOptions {
   std::string out_dir;                 // empty = telemetry disabled
   std::uint64_t interval = 1;          // batches per snapshot
-  std::size_t keep = 16;               // rotating snapshot files
   std::uint64_t watchdog_stall_ms = 0; // 0 = watchdog off
 
   bool enabled() const noexcept { return !out_dir.empty(); }

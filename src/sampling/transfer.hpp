@@ -1,45 +1,24 @@
-// Host -> device transfers (the T task): upload the gathered embedding
-// table and the re-indexed subgraph structures, pricing each move through
-// the PCIe model. SALIENT-style frameworks and Prepro-GT stage embeddings
-// in pinned memory; baseline frameworks pay the pageable staging copy.
+// Host -> device transfer pricing (the T task). The upload itself happens
+// when a backend opens its device session (frameworks::detail::
+// open_session); this prices a move through the PCIe model. SALIENT-style
+// frameworks and Prepro-GT stage embeddings in pinned memory; baseline
+// frameworks pay the pageable staging copy.
 #pragma once
+
+#include <cstddef>
 
 #include "gpusim/device.hpp"
 #include "gpusim/pcie.hpp"
-#include "kernels/common.hpp"
-#include "sampling/reindex.hpp"
-#include "tensor/matrix.hpp"
-#include "tensor/view.hpp"
 
 namespace gt::sampling {
 
-struct TransferResult {
-  gpusim::BufferId buffer = gpusim::kInvalidBuffer;
-  std::size_t bytes = 0;
-  double pcie_us = 0.0;
-};
-
 class Transfer {
  public:
-  Transfer(gpusim::Device& dev, gpusim::PcieModel pcie, bool pinned)
-      : dev_(dev), pcie_(pcie), pinned_(pinned) {}
+  /// The device is the upload's destination; pricing does not read it.
+  Transfer(gpusim::Device& /*dev*/, gpusim::PcieModel pcie, bool pinned)
+      : pcie_(pcie), pinned_(pinned) {}
 
   bool pinned() const noexcept { return pinned_; }
-
-  /// Upload a host matrix or view (embedding table chunk or whole).
-  TransferResult upload(ConstMatrixView m, std::string name);
-
-  /// Upload graph structures for one layer; returns total structure bytes
-  /// and time. Only the requested formats are moved.
-  struct LayerUpload {
-    kernels::DeviceCsr csr;
-    kernels::DeviceCsc csc;
-    kernels::DeviceCoo coo;
-    std::size_t bytes = 0;
-    double pcie_us = 0.0;
-  };
-  LayerUpload upload_layer(const LayerGraphHost& layer,
-                           const ReindexFormats& formats);
 
   /// Time to move `bytes` under this transfer's pinning mode.
   double transfer_us(std::size_t bytes) const {
@@ -47,7 +26,6 @@ class Transfer {
   }
 
  private:
-  gpusim::Device& dev_;
   gpusim::PcieModel pcie_;
   bool pinned_;
 };

@@ -77,18 +77,21 @@ TEST(ServiceLedger, WritesConsistentArtifactOnDestruction) {
   EXPECT_EQ(totals.number_at("batches"), 5.0);
 
   // The identity on the round-tripped totals:
-  //   e2e = sum(stages) - parallel + fwp + bwp - hidden.
-  const double identity =
+  //   e2e = sum(stages) + fwp + bwp - hidden,  sum(stages) = makespan.
+  const double stages =
       totals.number_at("sampling_us") + totals.number_at("reindex_us") +
-      totals.number_at("lookup_us") + totals.number_at("transfer_us") -
-      totals.number_at("preproc_parallel_us") + totals.number_at("fwp_us") +
-      totals.number_at("bwp_us") - totals.number_at("overlap_hidden_us");
+      totals.number_at("lookup_us") + totals.number_at("transfer_us");
+  expect_near_rel(stages, totals.number_at("makespan_us"), 1e-6,
+                  "stage terms vs makespan");
+  const double identity = stages + totals.number_at("fwp_us") +
+                          totals.number_at("bwp_us") -
+                          totals.number_at("overlap_hidden_us");
   expect_near_rel(identity, totals.number_at("end_to_end_us"), 1e-6,
                   "attribution identity");
 
   // Ledger totals reconcile with the reports the caller saw: every stage of
-  // the Fig 12 breakdown is the sum of what the batch reports priced.
-  double e2e = 0.0, fwp = 0.0, bwp = 0.0, makespan = 0.0;
+  // the Fig 12 breakdown is the sum of the batch reports' stage terms.
+  double e2e = 0.0, fwp = 0.0, bwp = 0.0, makespan = 0.0, hidden = 0.0;
   double stage[4] = {0.0, 0.0, 0.0, 0.0};
   for (const frameworks::RunReport& r : reports) {
     ASSERT_TRUE(r.ok());
@@ -96,13 +99,18 @@ TEST(ServiceLedger, WritesConsistentArtifactOnDestruction) {
     fwp += r.fwp_us;
     bwp += r.bwp_us;
     makespan += r.preproc_makespan_us;
-    for (int t = 0; t < 4; ++t) stage[t] += r.schedule.type_busy_us[t];
+    const obs::attrib::StageTerms terms =
+        obs::attrib::stage_terms(frameworks::batch_totals(r));
+    hidden += terms.hidden_us;
+    for (int t = 0; t < 4; ++t) stage[t] += terms.stage_us[t];
   }
   expect_near_rel(totals.number_at("end_to_end_us"), e2e, 1e-6, "e2e sum");
   expect_near_rel(totals.number_at("fwp_us"), fwp, 1e-6, "fwp sum");
   expect_near_rel(totals.number_at("bwp_us"), bwp, 1e-6, "bwp sum");
   expect_near_rel(totals.number_at("makespan_us"), makespan, 1e-6,
                   "makespan sum");
+  expect_near_rel(totals.number_at("overlap_hidden_us"), hidden, 1e-6,
+                  "hidden sum");
   const char* stage_keys[4] = {"sampling_us", "reindex_us", "lookup_us",
                                "transfer_us"};
   for (int t = 0; t < 4; ++t) {

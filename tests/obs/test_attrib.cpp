@@ -18,9 +18,9 @@
 namespace gt::obs::attrib {
 namespace {
 
-/// One synthetic "batch" whose totals satisfy the attribution identity
-/// under overlap: busy = 200, makespan = 120 (parallel saves 80),
-/// fwp+bwp = 70 fully hidden under preprocessing -> e2e = 120.
+/// One synthetic "batch" under overlap: busy = 200 core-us over a
+/// makespan of 120, fwp+bwp = 70 fully hidden under preprocessing ->
+/// e2e = 120.
 BatchTotals overlap_batch() {
   BatchTotals t;
   t.stage_busy_us[0] = 100.0;  // sampling
@@ -99,15 +99,19 @@ TEST_F(LedgerTest, AggregatesKernelClassesAndKeepsIdentity) {
   const JsonValue& totals = doc.at("totals");
   EXPECT_EQ(totals.number_at("batches"), 2.0);
   EXPECT_DOUBLE_EQ(totals.number_at("end_to_end_us"), 240.0);
-  EXPECT_DOUBLE_EQ(totals.number_at("sampling_us"), 200.0);
-  EXPECT_DOUBLE_EQ(totals.number_at("preproc_parallel_us"), 160.0);
+  // Each batch splits its 120 us makespan 100:50:30:20 -> 60/30/18/12.
+  EXPECT_DOUBLE_EQ(totals.number_at("sampling_us"), 120.0);
+  EXPECT_DOUBLE_EQ(totals.number_at("transfer_us"), 24.0);
   EXPECT_DOUBLE_EQ(totals.number_at("overlap_hidden_us"), 140.0);
-  // The identity: e2e = sum(stages) - parallel + fwp + bwp - hidden.
-  const double identity =
+  // The identity: e2e = sum(stages) + fwp + bwp - hidden, and the stage
+  // terms sum to the makespan.
+  const double stages =
       totals.number_at("sampling_us") + totals.number_at("reindex_us") +
-      totals.number_at("lookup_us") + totals.number_at("transfer_us") -
-      totals.number_at("preproc_parallel_us") + totals.number_at("fwp_us") +
-      totals.number_at("bwp_us") - totals.number_at("overlap_hidden_us");
+      totals.number_at("lookup_us") + totals.number_at("transfer_us");
+  EXPECT_NEAR(stages, totals.number_at("makespan_us"), 1e-9);
+  const double identity = stages + totals.number_at("fwp_us") +
+                          totals.number_at("bwp_us") -
+                          totals.number_at("overlap_hidden_us");
   EXPECT_NEAR(identity, totals.number_at("end_to_end_us"), 1e-9);
 
   const JsonValue& classes = doc.at("kernels");

@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "graph/convert.hpp"
 #include "sampling/lookup.hpp"
-#include "sampling/transfer.hpp"
-#include "util/rng.hpp"
 
 namespace gt::sampling {
 namespace {
@@ -45,49 +42,6 @@ TEST(Lookup, GatheredBytes) {
   EmbeddingTable table(10, 8, 1);
   EmbeddingLookup lookup(table);
   EXPECT_EQ(lookup.gathered_bytes(5), 5 * 8 * sizeof(float));
-}
-
-TEST(Transfer, UploadMovesDataAndPricesPcie) {
-  gpusim::Device dev;
-  Transfer pinned(dev, gpusim::PcieModel(), /*pinned=*/true);
-  Transfer pageable(dev, gpusim::PcieModel(), /*pinned=*/false);
-  Xoshiro256 rng(1);
-  Matrix m = Matrix::uniform(64, 16, rng);
-  auto r1 = pinned.upload(m, "emb");
-  EXPECT_EQ(r1.bytes, m.bytes());
-  EXPECT_EQ(kernels::download_matrix(dev, r1.buffer), m);
-  auto r2 = pageable.upload(m, "emb2");
-  EXPECT_GT(r2.pcie_us, r1.pcie_us);  // staging copy penalty
-}
-
-TEST(Transfer, UploadLayerStructures) {
-  gpusim::Device dev;
-  Transfer t(dev, gpusim::PcieModel(), true);
-  // Small layer graph.
-  Coo coo;
-  coo.num_vertices = 6;
-  coo.src = {3, 4, 5, 2};
-  coo.dst = {0, 0, 1, 1};
-  LayerGraphHost layer;
-  layer.n_dst = 2;
-  layer.n_vertices = 6;
-  layer.coo = coo;
-  layer.csr = coo_to_csr(coo);
-  ReindexFormats fmt{.coo = true, .csr = true, .csc = true};
-  auto up = t.upload_layer(layer, fmt);
-  EXPECT_EQ(up.csr.n_edges, 4u);
-  EXPECT_EQ(up.csc.n_edges, 4u);
-  EXPECT_EQ(up.coo.n_edges, 4u);
-  EXPECT_GT(up.bytes, 0u);
-  EXPECT_GT(up.pcie_us, 0.0);
-}
-
-TEST(Transfer, CscWithoutCsrRejected) {
-  gpusim::Device dev;
-  Transfer t(dev, gpusim::PcieModel(), true);
-  LayerGraphHost layer;
-  EXPECT_THROW(t.upload_layer(layer, ReindexFormats{.csc = true}),
-               std::invalid_argument);
 }
 
 }  // namespace
